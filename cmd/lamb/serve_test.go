@@ -448,3 +448,46 @@ func TestServeBatchCompute(t *testing.T) {
 		t.Errorf("fused_queries = %d, want >= %d", s.FusedQueries, 2*len(req.Queries))
 	}
 }
+
+// TestRouterBatchComputeReturnsResults sends a computed batch through a
+// router over two measured serves: the router splits it by shard owner,
+// and every sub-batch must still ask for computation, so every item
+// comes back with its result block.
+func TestRouterBatchComputeReturnsResults(t *testing.T) {
+	var backends []string
+	for i := 0; i < 2; i++ {
+		srv := httptest.NewServer(serveMux(engine.New(engine.Config{Executor: exec.NewMeasured()})))
+		t.Cleanup(srv.Close)
+		backends = append(backends, srv.URL)
+	}
+	front := httptest.NewServer(chaosRouter(t, backends...).Handler())
+	t.Cleanup(front.Close)
+	req := batchRequest{Compute: true}
+	for d := 4; d <= 64; d *= 2 {
+		for e := 4; e <= 16; e *= 2 {
+			req.Queries = append(req.Queries, engine.Query{Expr: "aatb", Instance: []int{d, e, 8}})
+		}
+	}
+	resp, body := postJSON(t, front.URL+"/api/v1/batch", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var out batchResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != len(req.Queries) {
+		t.Fatalf("%d results for %d queries", len(out.Results), len(req.Queries))
+	}
+	for i, item := range out.Results {
+		if item.Error != "" || item.Record == nil || item.Result == nil {
+			t.Fatalf("item %d (%v): no result block through the router: %s", i, req.Queries[i].Instance, body)
+		}
+		if item.Degraded != "" {
+			t.Fatalf("item %d answered degraded (%s), not by a backend", i, item.Degraded)
+		}
+		if q := req.Queries[i].Instance; item.Result.Rows != q[0] || item.Result.Cols != q[2] {
+			t.Errorf("item %d: result %dx%d for instance %v", i, item.Result.Rows, item.Result.Cols, q)
+		}
+	}
+}

@@ -787,7 +787,7 @@ func (e *Engine) answer(ctx context.Context, q Query, strat string, fusedOK bool
 	for i := range algs {
 		cands[i] = Candidate{Index: algs[i].Index, Name: algs[i].Name, Flops: algs[i].Flops()}
 	}
-	ranking, confidence, anomaly := rank(x.Name(), q.Instance, algs, post)
+	ranking, confidence, anomaly := rank(algs, post)
 	if anomaly {
 		e.anomalous.Add(1)
 	}

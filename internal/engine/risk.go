@@ -4,28 +4,23 @@ package engine
 // record renders the engine's current evidence as a ranking with win
 // probabilities, a top-2 confidence, and an anomaly flag where the
 // evidence contradicts the min-FLOPs discriminant. Everything here is
-// deterministic for a given store state — the Monte Carlo sampler is
-// seeded from the query itself — so identical queries produce identical
-// records, which the dedup layers and the serve tests rely on.
+// deterministic for a given store state — the win probabilities are
+// computed by quadrature, not sampled — so identical queries produce
+// identical records, which the dedup layers and the serve tests rely
+// on.
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"lamb/internal/expr"
 	"lamb/internal/selection"
-	"lamb/internal/xrand"
 )
 
-// Fixed seed labels for the two derived random streams: the ranking's
-// Monte Carlo sampler (labelled further by expression and instance, so
-// every query point gets an independent but reproducible stream) and
-// the Thompson exploration draws (labelled by the exploration event
-// ordinal).
-const (
-	rankSeed    uint64 = 0x5e1ec7_4a2b
-	exploreSeed uint64 = 0x740_0b5e12
-)
+// exploreSeed is the fixed seed of the Thompson exploration draws, which
+// are labelled further by the exploration event ordinal.
+const exploreSeed uint64 = 0x740_0b5e12
 
 // RankEntry is one row of a record's ranking: an algorithm, its
 // posterior summary, and the probability it is actually the fastest.
@@ -94,32 +89,20 @@ func (e *Engine) riskPosterior(exprName string, inst expr.Instance, algs []expr.
 }
 
 // rank renders a posterior into the record's ranking block: entries
-// ordered fastest-first by posterior mean, win probabilities from the
-// seeded Monte Carlo sampler, the closed-form top-2 gap as the record's
-// confidence, and the discriminant test itself — the answer is
-// anomalous when the posterior-best algorithm differs from the
-// min-FLOPs pick AND the min-FLOPs pick's probability of beating it has
-// dropped below the threshold. Requiring both keeps near-tied FLOP sets
+// ordered fastest-first by posterior mean, win probabilities by
+// quadrature, the closed-form top-2 gap as the record's confidence,
+// and the discriminant test itself — the answer is anomalous when the
+// posterior-best algorithm differs from the min-FLOPs pick AND the
+// min-FLOPs pick's probability of beating it has dropped below the
+// threshold. Requiring both keeps near-tied FLOP sets
 // with no feedback (beat probability ≈ ½) from flagging.
-func rank(exprName string, inst expr.Instance, algs []expr.Algorithm, post []selection.AlgPosterior) (entries []RankEntry, confidence float64, anomaly bool) {
-	rng := xrand.NewLabeled(rankSeed, exprName+"|"+inst.String())
-	pb := selection.WinProbabilities(post, rng, 0)
-	order := make([]int, len(post))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return post[order[a]].Mean < post[order[b]].Mean
-	})
+func rank(algs []expr.Algorithm, post []selection.AlgPosterior) (entries []RankEntry, confidence float64, anomaly bool) {
+	pb := selection.WinProbabilities(post, nil, 0)
 	entries = make([]RankEntry, len(post))
-	for k, i := range order {
-		entries[k] = RankEntry{
-			Alg:    post[i].Algorithm,
-			PBest:  pb[i],
-			Mean:   post[i].Mean,
-			StdErr: post[i].StdErr,
-		}
+	for i, p := range post {
+		entries[i] = RankEntry{Alg: p.Algorithm, PBest: pb[i], Mean: p.Mean, StdErr: p.StdErr}
 	}
+	slices.SortStableFunc(entries, func(a, b RankEntry) int { return cmp.Compare(a.Mean, b.Mean) })
 	confidence = selection.GapConfidence(post)
 	best := selection.BestIndex(post)
 	minFlops := selection.MinFlops{}.Choose(algs)

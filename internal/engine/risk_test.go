@@ -59,9 +59,9 @@ func TestEngineRecordCarriesRanking(t *testing.T) {
 	}
 }
 
-// TestEngineRankingDeterministic pins the seeded sampler: identical
-// queries against identical evidence produce identical rankings, the
-// property the dedup layers and the serve round-trip test rely on.
+// TestEngineRankingDeterministic: identical queries against identical
+// evidence produce identical rankings, the property the dedup layers
+// and the serve round-trip test rely on.
 func TestEngineRankingDeterministic(t *testing.T) {
 	a, err := New(Config{}).Query(Query{Expr: "gls", Instance: expr.Instance{40, 30, 20, 10}})
 	if err != nil {

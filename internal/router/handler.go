@@ -178,6 +178,10 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Queries   []json.RawMessage `json:"queries"`
 		TimeoutMs int               `json:"timeout_ms"`
+		// Compute asks the backends to execute each selected algorithm
+		// and attach a result block; it must ride along on every
+		// sub-batch.
+		Compute bool `json:"compute"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
@@ -235,7 +239,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		go func(g *group) {
 			defer wg.Done()
 			payload, err := json.Marshal(map[string]any{
-				"queries": g.raws, "timeout_ms": req.TimeoutMs,
+				"queries": g.raws, "timeout_ms": req.TimeoutMs, "compute": req.Compute,
 			})
 			if err != nil {
 				mu.Lock()
