@@ -120,3 +120,29 @@ func TestCompareBenchNoCommonPoints(t *testing.T) {
 		t.Fatal("disjoint reports must fail the comparison")
 	}
 }
+
+// TestCompareBenchLoadsLegacyBatchSection pins that reports written
+// while bench still had its fused-batch grid (a "batches" section, as
+// in BENCH_5 and BENCH_6) keep loading and comparing on their kernel
+// points.
+func TestCompareBenchLoadsLegacyBatchSection(t *testing.T) {
+	dir := t.TempDir()
+	legacy := `{"backend":"measured/pure-go-blas","peak_gflops":30,
+		"results":[{"kernel":"gemm","m":64,"n":64,"k":64,"gflops":20,"best_gflops":21}],
+		"batches":[{"expr":"aatb","inst":"(8,8,8)","alg":1,"count":64,"speedup":12.5,
+			"par_fused":[{"workers":2,"seconds":0.001,"speedup":1.1}]}]}`
+	oldPath := filepath.Join(dir, "old.json")
+	if err := os.WriteFile(oldPath, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	newPath := writeBench(t, dir, "new.json", exec.BenchReport{Results: []exec.BenchResult{
+		benchPoint("gemm", 64, 64, 64, 20),
+	}})
+	var out strings.Builder
+	if err := compareBench(&out, oldPath, newPath); err != nil {
+		t.Fatalf("legacy report with a batches section must compare clean: %v\n%s", err, out.String())
+	}
+	if err := compareBench(&out, "../../BENCH_6.json", "../../BENCH_6.json"); err != nil {
+		t.Fatalf("BENCH_6.json against itself: %v\n%s", err, out.String())
+	}
+}

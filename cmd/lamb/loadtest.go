@@ -46,7 +46,7 @@ func cmdLoadtest(args []string) error {
 	duration := fs.Duration("duration", 5*time.Second, "how long to generate load")
 	concurrency := fs.Int("concurrency", 4, "closed-loop workers, one request in flight each (ignored when -rate > 0)")
 	batch := fs.Int("batch", 0, "queries per request: 0/1 = POST /api/query, >1 = POST /api/batch")
-	batchMix := fs.Bool("batch-mix", false, "with -batch > 1: sample each query's dimensions within the base instance's power-of-two octave and request computed results, so batches exercise the heterogeneous fused execution path")
+	batchMix := fs.Bool("batch-mix", false, "with -batch > 1: sample each query's dimensions within the base instance's power-of-two octave and request computed results, so batches exercise the mixed-shape fused execution path")
 	exprName := fs.String("expr", "aatb", "expression to query")
 	instStr := fs.String("instance", "24,16,8", "instance dimensions, e.g. 24,16,8")
 	strategy := fs.String("strategy", "", "selection strategy (empty = server default)")
@@ -89,7 +89,7 @@ func cmdLoadtest(args []string) error {
 	// fused path exists for. With -batch-mix every dimension is instead
 	// sampled uniformly within its power-of-two octave (same bits.Len as
 	// the base instance), so computed batches land in one shape-octave
-	// bucket and exercise the heterogeneous (padded) fused plan.
+	// bucket and exercise the fused plan with padded mixed shapes.
 	if *spread < 1 {
 		*spread = 1
 	}
@@ -201,7 +201,6 @@ func cmdLoadtest(args []string) error {
 		{"expressions", d.Expressions},
 		{"bindings", d.Bindings},
 		{"plans", d.Plans},
-		{"batch plans", d.BatchPlans},
 	} {
 		rows = append(rows, []string{l.name, fmt.Sprint(l.s.Hits), fmt.Sprint(l.s.Misses), hitRate(l.s)})
 	}
@@ -421,7 +420,6 @@ func statsDelta(before, after engine.Stats) engine.Stats {
 	d.Bindings = cacheDelta(before.Bindings, after.Bindings)
 	d.Plans = cacheDelta(before.Plans, after.Plans)
 	d.CallPlans = cacheDelta(before.CallPlans, after.CallPlans)
-	d.BatchPlans = cacheDelta(before.BatchPlans, after.BatchPlans)
 	d.Queries = after.Queries - before.Queries
 	d.Deduped = after.Deduped - before.Deduped
 	d.Coalesced = after.Coalesced - before.Coalesced

@@ -27,8 +27,7 @@
 //	           probes, circuit breakers, retries with backoff, optional
 //	           hedging (-hedge-after) and outcome gossip (-merge-every)
 //	bench      kernel benchmark grid (BENCH_<n>.json with -json; whole-
-//	           algorithm timings with -algs; fused-vs-sequential batch
-//	           grid with -batch; diff two reports with
+//	           algorithm timings with -algs; diff two reports with
 //	           -compare OLD.json NEW.json)
 //	loadtest   load generator against a running serve or route: closed
 //	           loop by default, coordinated-omission-free open loop with
@@ -131,8 +130,8 @@ subcommands:
              hashing, health probes, breakers, retries, hedging, and
              outcome gossip; degrades to a local min-flops engine
   bench      kernel benchmark grid (writes BENCH_<n>.json with -json;
-             -algs times whole algorithms; -batch runs the fused-vs-
-             sequential batch grid; -compare OLD NEW diffs reports)
+             -algs times whole algorithms; -compare OLD NEW diffs
+             reports)
   loadtest   drive a running serve/route with query/batch traffic and
              report latency percentiles, throughput, and cache hit
              rates; -rate N switches to an open-loop arrival schedule

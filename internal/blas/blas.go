@@ -225,14 +225,7 @@ func gemmSerial(transA, transB bool, alpha float64, a, b *mat.Dense, beta float6
 		bufAPool.Put(bufAp)
 		bufBPool.Put(bufBp)
 	}()
-	gemmSerialBuf(*bufAp, *bufBp, transA, transB, alpha, a, b, beta, c)
-}
-
-// gemmSerialBuf is gemmSerial over caller-provided packing buffers (bufA
-// at least mc·kc floats, bufB at least kc·nc), so batched drivers can
-// hold one buffer pair across many small products instead of a pool
-// round-trip per product.
-func gemmSerialBuf(bufA, bufB []float64, transA, transB bool, alpha float64, a, b *mat.Dense, beta float64, c *mat.Dense) {
+	bufA, bufB := *bufAp, *bufBp
 	m, _ := opDims(a, transA)
 	k, n := opDims(b, transB)
 	for jc := 0; jc < n; jc += nc {

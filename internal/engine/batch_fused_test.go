@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ func TestQueryBatchCoalescesDuplicates(t *testing.T) {
 	qa := Query{Expr: "aatb", Instance: expr.Instance{16, 8, 8}}
 	qb := Query{Expr: "aatb", Instance: expr.Instance{32, 8, 8}}
 	qc := Query{Expr: "chain", Instance: expr.Instance{8, 8, 8, 8, 8}}
-	res := e.QueryBatch([]Query{qa, qb, qa, qa, qb, qc})
+	res := e.Do(context.Background(), Request{Queries: []Query{qa, qb, qa, qa, qb, qc}})
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)
@@ -45,20 +46,51 @@ func TestQueryBatchCoalescesDuplicates(t *testing.T) {
 	// Differing strategies must NOT coalesce.
 	qo := qa
 	qo.Strategy = "min-flops" // explicit default == implicit default: coalesces
-	res = e.QueryBatch([]Query{qa, qo})
+	res = e.Do(context.Background(), Request{Queries: []Query{qa, qo}})
 	if res[1].Record != res[0].Record {
 		t.Error("explicit default strategy did not coalesce with implicit")
 	}
 }
 
-// TestQueryBatchFusedMeasurement pins the fused-execute mode: a batch
-// query with a timed strategy in the small-instance regime measures
-// through fused batch plans, producing an ordinary oracle record (not
-// degraded, same candidate set as the per-instance path).
+// countingExecutor is the measured backend with every per-instance
+// timing repetition counted and delayed by a fixed wall-clock amount.
+// Embedding *exec.Measured keeps its fused-regime gate (FuseWidth,
+// FuseChunk), so the engine sees a batch-capable executor.
+type countingExecutor struct {
+	*exec.Measured
+	delay time.Duration
+	reps  *atomic.Int64
+}
+
+func (c countingExecutor) TimeAlgorithm(alg *expr.Algorithm, rep uint64) []float64 {
+	c.reps.Add(1)
+	time.Sleep(c.delay)
+	return c.Measured.TimeAlgorithm(alg, rep)
+}
+
+// TestQueryBatchFusedMeasurement pins that batch queries time with the
+// paper's per-instance protocol: a batch of identical oracle queries on
+// a batch-capable executor in the small-instance regime coalesces to
+// one representative, which measures every candidate cold, one
+// instance per repetition — the executor sees exactly algorithms × reps
+// per-instance repetitions and the query is not counted as fused. The
+// record is an ordinary oracle answer with the per-instance path's
+// candidate set.
 func TestQueryBatchFusedMeasurement(t *testing.T) {
-	e := New(Config{Executor: exec.NewMeasured(), Reps: 2})
+	const reps = 2
+	me := exec.NewMeasured()
+	me.FlushBytes = 1 << 20
+	ce := countingExecutor{Measured: me, reps: new(atomic.Int64)}
+	e := New(Config{Executor: ce, Reps: reps})
 	q := Query{Expr: "aatb", Instance: expr.Instance{12, 16, 8}, Strategy: "oracle"}
-	res := e.QueryBatch([]Query{q, q, q})
+	algs, err := e.Algorithms(q.Expr, q.Instance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if me.FuseChunk(&algs[0]) < 2 {
+		t.Fatal("test instance is outside the fused regime")
+	}
+	res := e.Do(context.Background(), Request{Queries: []Query{q, q, q}})
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)
@@ -66,73 +98,55 @@ func TestQueryBatchFusedMeasurement(t *testing.T) {
 	}
 	rec := res[0].Record
 	if rec.Strategy != "oracle" || rec.Degraded != "" {
-		t.Fatalf("fused batch record %+v, want an undegraded oracle answer", rec)
+		t.Fatalf("batch record %+v, want an undegraded oracle answer", rec)
 	}
 	if rec.NumAlgorithms != 5 || len(rec.Candidates) != 5 {
 		t.Fatalf("record %+v", rec)
 	}
+	if got, want := ce.reps.Load(), int64(5*reps); got != want {
+		t.Errorf("executor saw %d per-instance repetitions, want %d (5 algorithms × %d reps)", got, want, reps)
+	}
 	s := e.Stats()
-	if s.FusedQueries != 1 {
-		t.Errorf("fused_queries = %d, want 1 (one representative measured fused)", s.FusedQueries)
+	if s.FusedQueries != 0 {
+		t.Errorf("fused_queries = %d, want 0 (timed answers never fuse)", s.FusedQueries)
 	}
 	if s.Coalesced != 2 {
 		t.Errorf("coalesced = %d, want 2", s.Coalesced)
 	}
-	if s.BatchPlans.Misses == 0 {
-		t.Error("no batch plans were compiled for a fused measurement")
-	}
-	// The fused record's candidates agree with the per-instance path.
-	direct, err := e.Query(q)
+	// The batch record's candidates agree with the single-query path.
+	direct, err := doOne(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(direct.Candidates, rec.Candidates) {
-		t.Errorf("fused candidates differ from per-instance:\n%+v\n%+v", rec.Candidates, direct.Candidates)
+		t.Errorf("batch candidates differ from single-query:\n%+v\n%+v", rec.Candidates, direct.Candidates)
 	}
-	// Out of the fused regime (huge instance), batch oracle queries fall
-	// back to per-instance measurement — but with the simulated-speed
-	// check skipped here (measuring a 1200-dim instance is too slow for a
-	// unit test), we only pin that the gate reports no width.
-	big, err := e.Algorithms("aatb", expr.Instance{1200, 1200, 1200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := e.fuseWidth(big); w != 0 {
-		t.Errorf("fuseWidth(1200-dim set) = %d, want 0", w)
-	}
-}
-
-// slowBatchExecutor delays every fused repetition, so tests can make a
-// deadline expire mid-fused-measurement.
-type slowBatchExecutor struct {
-	*exec.Measured
-	delay time.Duration
-}
-
-func (s slowBatchExecutor) TimeAlgorithmBatch(alg *expr.Algorithm, count int, rep uint64) []float64 {
-	time.Sleep(s.delay)
-	return s.Measured.TimeAlgorithmBatch(alg, count, rep)
 }
 
 // TestQueryBatchFusedDeadlineDegrades pins that the degradation ladder
-// survives the fused path: a batch oracle query whose deadline expires
-// mid-fused-measurement answers min-flops with the degradation stamped,
-// exactly like the per-instance path.
+// holds on the batched path: batch oracle queries whose deadline
+// expires mid-measurement answer min-flops with the degradation
+// stamped, exactly like a single query.
 func TestQueryBatchFusedDeadlineDegrades(t *testing.T) {
 	me := exec.NewMeasured()
 	me.FlushBytes = 1 << 20
-	e := New(Config{Executor: slowBatchExecutor{me, 30 * time.Millisecond}, Reps: 3})
+	e := New(Config{Executor: countingExecutor{me, 30 * time.Millisecond, new(atomic.Int64)}, Reps: 3})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	res := e.QueryBatchCtx(ctx, []Query{{Expr: "aatb", Instance: expr.Instance{12, 16, 8}, Strategy: "oracle"}})
-	if res[0].Err != nil {
-		t.Fatalf("deadline mid-measurement should degrade, got error %v", res[0].Err)
+	res := e.Do(ctx, Request{Queries: []Query{
+		{Expr: "aatb", Instance: expr.Instance{12, 16, 8}, Strategy: "oracle"},
+		{Expr: "aatb", Instance: expr.Instance{16, 12, 8}, Strategy: "oracle"},
+	}})
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("query %d: deadline mid-measurement should degrade, got error %v", i, r.Err)
+		}
+		rec := r.Record
+		if rec.Strategy != "min-flops" || rec.Requested != "oracle" || rec.Degraded != DegradedDeadline {
+			t.Fatalf("query %d: degraded record not stamped: %+v", i, rec)
+		}
 	}
-	rec := res[0].Record
-	if rec.Strategy != "min-flops" || rec.Requested != "oracle" || rec.Degraded != DegradedDeadline {
-		t.Fatalf("degraded record not stamped: %+v", rec)
-	}
-	if s := e.Stats(); s.FusedQueries != 0 {
-		t.Errorf("fused_queries = %d, want 0 (degraded answer is not fused)", s.FusedQueries)
+	if s := e.Stats(); s.DegradedQueries != 2 || s.FusedQueries != 0 {
+		t.Errorf("degraded_queries = %d, fused_queries = %d, want 2 and 0", s.DegradedQueries, s.FusedQueries)
 	}
 }

@@ -1,21 +1,15 @@
 package engine
 
-// Fused result execution: QueryBatchExecCtx answers a batch of queries
-// AND computes each query's result, routing same-algorithm queries of
-// similar shape through one fused batch plan. Selection goes through
-// the ordinary batched pipeline (coalescing, singleflight, fused timed
-// measurement); the execution step then buckets the answered queries by
-// (expression, selected algorithm index, shape octave) so that
-//
-//   - a bucket whose queries bound the exact same algorithm instance
-//     executes through the homogeneous BatchPlan (cached in the plan
-//     LRU), and
-//   - a bucket of mixed instances — same expression, same algorithm
-//     family, shapes within one power-of-two octave per dimension —
-//     executes through a heterogeneous MixedBatchPlan, padded to a
-//     common stride,
-//
-// both amortising the per-dispatch fixed costs that dominate the
+// Fused result execution: a Do request with Compute set answers a batch
+// of queries AND computes each query's result, routing same-algorithm
+// queries of similar shape through one fused batch plan. Selection goes
+// through the ordinary batched pipeline (coalescing, singleflight); the
+// execution step then buckets the answered queries by (expression,
+// selected algorithm index, shape octave) — same expression, same
+// algorithm family, shapes within one power-of-two octave per dimension
+// — and executes each bucket, chunk by chunk, through a MixedBatchPlan
+// padded to a common stride, whether its instances are identical or
+// mixed. That amortises the per-dispatch fixed costs that dominate the
 // small-instance regime. Buckets that cannot fuse (no batched executor,
 // instance arenas over the slab budget, padding overhead too high) fall
 // back to per-query execution and are counted, by reason, in
@@ -59,26 +53,15 @@ type BatchExecResult struct {
 	Fused bool
 }
 
-// fusedPlan is the common surface of the homogeneous BatchPlan and the
-// heterogeneous MixedBatchPlan the execution step drives.
-type fusedPlan interface {
-	FillInputs(*xrand.Rand)
-	SetInput(inst int, id string, src *mat.Dense)
-	Execute()
-	Output(inst int) *mat.Dense
-}
-
-// queryBatchExecCtx answers the queries (through queryBatchCtx: within-
-// batch coalescing, singleflight, fused timed measurement) and then
-// executes each query's selected algorithm, returning records and
-// results in request order. inputs[i], when present, supplies query i's
-// input operands by ID (shapes must match the instance); missing
-// operands are filled from a deterministic stream. Queries that
-// selected the same algorithm of the same expression at shapes within
-// one power-of-two octave per dimension are executed through one fused
-// batch plan — identical instances through the cached homogeneous plan,
-// mixed instances through a padded heterogeneous plan — and marked
-// Fused; each fused-executed query counts in Stats.FusedQueries.
+// queryBatchExecCtx answers the queries (through queryBatchCtx:
+// within-batch coalescing, singleflight) and then executes each query's
+// selected algorithm, returning records and results in request order.
+// inputs[i], when present, supplies query i's input operands by ID
+// (shapes must match the instance); missing operands are filled from a
+// deterministic stream. Queries that selected the same algorithm of the
+// same expression at shapes within one power-of-two octave per
+// dimension are executed through one fused batch plan per chunk and
+// marked Fused; each fused-executed query counts in Stats.FusedQueries.
 // Buckets outside the fused regime execute per query and count in
 // Stats.FuseRejected by reason.
 func (e *Engine) queryBatchExecCtx(ctx context.Context, qs []Query, inputs []map[string]*mat.Dense) []BatchExecResult {
@@ -174,14 +157,7 @@ func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, algOf []
 		e.execUnfused(idxs, inputs, algOf, out)
 		return
 	}
-	homog := true
-	for _, i := range idxs[1:] {
-		if algOf[i] != algOf[idxs[0]] {
-			homog = false
-			break
-		}
-	}
-	if !homog && maxChunk > heteroPaddingMax*minChunk {
+	if maxChunk > heteroPaddingMax*minChunk {
 		e.rejHetero.Add(uint64(len(idxs)))
 		e.execUnfused(idxs, inputs, algOf, out)
 		return
@@ -192,49 +168,26 @@ func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, algOf []
 			e.execUnfused(sub, inputs, algOf, out)
 			continue
 		}
-		e.execFusedChunk(sub, homog, inputs, algOf, out)
+		e.execFusedChunk(sub, inputs, algOf, out)
 	}
 }
 
 // execFusedChunk executes up to one fuse width of a bucket through one
 // fused plan. Any compile or execution failure (e.g. a non-SPD input to
-// a Cholesky-based algorithm poisoning the whole batched factorisation)
-// falls back to per-query execution, so one bad query cannot take its
-// bucket neighbours down.
-func (e *Engine) execFusedChunk(idxs []int, homog bool, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []BatchExecResult) {
-	var p fusedPlan
-	if homog {
-		alg := algOf[idxs[0]]
-		if e.plans != nil {
-			bp, err := e.plans.BatchPlan(alg, len(idxs))
-			if err != nil {
-				e.execUnfused(idxs, inputs, algOf, out)
-				return
-			}
-			p = bp
-		} else {
-			bp, err := exec.CompileBatchPlan(alg, len(idxs))
-			if err != nil {
-				e.execUnfused(idxs, inputs, algOf, out)
-				return
-			}
-			p = bp
-		}
-	} else {
-		algs := make([]*expr.Algorithm, len(idxs))
-		for k, i := range idxs {
-			algs[k] = algOf[i]
-		}
-		mp, err := exec.CompileBatchPlanMixed(algs)
-		if err != nil {
-			e.execUnfused(idxs, inputs, algOf, out)
-			return
-		}
-		p = mp
+// a Cholesky-based algorithm) falls back to per-query execution, so one
+// bad query cannot take its bucket neighbours down.
+func (e *Engine) execFusedChunk(idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []BatchExecResult) {
+	algs := make([]*expr.Algorithm, len(idxs))
+	for k, i := range idxs {
+		algs[k] = algOf[i]
+	}
+	p, err := exec.CompileBatchPlanMixed(algs)
+	if err != nil {
+		e.execUnfused(idxs, inputs, algOf, out)
+		return
 	}
 	// Fill, override, execute, and copy outputs under the execution
-	// lock: cached batch plans are shared and not safe for concurrent
-	// use, and fused execution must not contend with a concurrent timed
+	// lock: fused execution must not contend with a concurrent timed
 	// measurement.
 	e.execMu.Lock()
 	failed := runFused(p, idxs, inputs, algOf)
@@ -257,7 +210,7 @@ func (e *Engine) execFusedChunk(idxs []int, homog bool, inputs []map[string]*mat
 
 // runFused drives one fused plan execution, converting kernel panics
 // (shape mismatches, non-SPD operands) into an error.
-func runFused(p fusedPlan, idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm) (failed error) {
+func runFused(p *exec.MixedBatchPlan, idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm) (failed error) {
 	defer func() {
 		if r := recover(); r != nil {
 			failed = fmt.Errorf("engine: fused execution failed: %v", r)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"lamb/internal/exec"
@@ -22,10 +23,10 @@ func randomInputs(alg *expr.Algorithm, rng *xrand.Rand) map[string]*mat.Dense {
 
 // TestQueryBatchExecFusedHomogeneous pins the fused result path for
 // identical queries: same expression, same instance, min-flops — the
-// bucket executes through one cached homogeneous batch plan, every
-// result is marked fused, and each output is bitwise identical to
-// evaluating the selected algorithm on the same inputs through the
-// single-instance correctness path.
+// bucket executes through one batch plan, every result is marked fused,
+// and each output is bitwise identical to evaluating the selected
+// algorithm on the same inputs through the single-instance correctness
+// path.
 func TestQueryBatchExecFusedHomogeneous(t *testing.T) {
 	e := New(Config{Executor: exec.NewMeasured()})
 	const n = 4
@@ -42,7 +43,7 @@ func TestQueryBatchExecFusedHomogeneous(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = randomInputs(&algs[0], rng)
 	}
-	res := e.QueryBatchExec(qs, inputs)
+	res := e.Do(context.Background(), Request{Queries: qs, Compute: true, Inputs: inputs})
 	if len(res) != n {
 		t.Fatalf("got %d results, want %d", len(res), n)
 	}
@@ -71,12 +72,9 @@ func TestQueryBatchExecFusedHomogeneous(t *testing.T) {
 	if s.FusedQueries != n {
 		t.Errorf("fused_queries = %d, want %d", s.FusedQueries, n)
 	}
-	if s.BatchPlans.Misses == 0 {
-		t.Error("no batch plan was compiled for the homogeneous bucket")
-	}
 }
 
-// TestQueryBatchExecFusedMixed pins the heterogeneous result path:
+// TestQueryBatchExecFusedMixed pins the mixed-shape result path:
 // queries of one expression at different shapes within one octave per
 // dimension share a bucket, execute through one padded mixed plan, and
 // each per-instance output is bitwise identical to its single-instance
@@ -97,7 +95,7 @@ func TestQueryBatchExecFusedMixed(t *testing.T) {
 		sels[i] = algs
 		inputs[i] = randomInputs(&algs[0], rng)
 	}
-	res := e.QueryBatchExec(qs, inputs)
+	res := e.Do(context.Background(), Request{Queries: qs, Compute: true, Inputs: inputs})
 	sameIdx := true
 	for _, r := range res[1:] {
 		if r.Err == nil && r.Record.Selected.Index != res[0].Record.Selected.Index {
@@ -138,8 +136,8 @@ func TestQueryBatchExecDefaultFillDeterministic(t *testing.T) {
 		{Expr: "aatb", Instance: expr.Instance{12, 16, 8}},
 		{Expr: "aatb", Instance: expr.Instance{12, 16, 8}},
 	}
-	a := e.QueryBatchExec(qs, nil)
-	b := e.QueryBatchExec(qs, nil)
+	a := e.Do(context.Background(), Request{Queries: qs, Compute: true})
+	b := e.Do(context.Background(), Request{Queries: qs, Compute: true})
 	for i := range a {
 		if a[i].Err != nil || b[i].Err != nil {
 			t.Fatalf("query %d: %v / %v", i, a[i].Err, b[i].Err)
@@ -159,7 +157,7 @@ func TestQueryBatchExecRejectUnregistered(t *testing.T) {
 		{Expr: "aatb", Instance: expr.Instance{12, 16, 8}},
 		{Expr: "aatb", Instance: expr.Instance{12, 16, 8}},
 	}
-	res := e.QueryBatchExec(qs, nil)
+	res := e.Do(context.Background(), Request{Queries: qs, Compute: true})
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)
@@ -200,7 +198,7 @@ func TestQueryBatchExecRejectTooBigArena(t *testing.T) {
 		{Expr: "aatb", Instance: inst},
 		{Expr: "aatb", Instance: inst},
 	}
-	res := e.QueryBatchExec(qs, nil)
+	res := e.Do(context.Background(), Request{Queries: qs, Compute: true})
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)
@@ -250,5 +248,43 @@ func TestQueryBatchExecRejectHeteroPrepadding(t *testing.T) {
 	}
 	if s := e.Stats(); s.FuseRejected.HeteroPrepadding != 2 {
 		t.Errorf("fuse_rejected.hetero_prepadding = %d, want 2", s.FuseRejected.HeteroPrepadding)
+	}
+}
+
+// TestQueryBatchExecFusedFailureFallsBack pins the fused path's failure
+// isolation: one query whose input makes the Cholesky factorisation
+// fail (a negative-definite R in lstsq's A·Aᵀ+R) fails the whole fused
+// chunk, so the chunk re-runs per query — the bad query reports its
+// error, and its bucket neighbours still get their results.
+func TestQueryBatchExecFusedFailureFallsBack(t *testing.T) {
+	e := New(Config{Executor: exec.NewMeasured()})
+	inst := expr.Instance{16, 12, 8}
+	qs := []Query{
+		{Expr: "lstsq", Instance: inst},
+		{Expr: "lstsq", Instance: inst},
+		{Expr: "lstsq", Instance: inst},
+	}
+	bad := mat.New(inst[0], inst[0])
+	for i := 0; i < bad.Rows; i++ {
+		bad.Set(i, i, -1e6)
+	}
+	inputs := []map[string]*mat.Dense{nil, {"R": bad}, nil}
+	res := e.Do(context.Background(), Request{Queries: qs, Compute: true, Inputs: inputs})
+	for i, r := range res {
+		if r.Fused {
+			t.Errorf("query %d marked fused after its chunk failed", i)
+		}
+		if i == 1 {
+			if r.Err == nil {
+				t.Errorf("query 1 with a negative-definite R succeeded")
+			}
+			continue
+		}
+		if r.Err != nil || r.Output == nil {
+			t.Errorf("query %d: err %v, output %v; want a result beside the failing query", i, r.Err, r.Output)
+		}
+	}
+	if s := e.Stats(); s.FusedQueries != 0 {
+		t.Errorf("fused_queries = %d, want 0", s.FusedQueries)
 	}
 }

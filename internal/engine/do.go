@@ -1,10 +1,8 @@
 package engine
 
-// Do is the engine's single entry point, replacing the six historical
-// Query* methods: one request struct selects the per-instance path, the
-// batched path, or batched execution, and the deadline is whatever the
-// caller's context carries. The old names remain below as thin
-// deprecated wrappers so existing call sites migrate incrementally.
+// Do is the engine's single entry point: one request struct selects the
+// per-instance path, the batched path, or batched execution, and the
+// deadline is whatever the caller's context carries.
 
 import (
 	"context"
@@ -16,8 +14,9 @@ import (
 type Request struct {
 	// Queries are the selection requests. A single query takes the
 	// per-instance path; two or more take the batched path — within-batch
-	// coalescing, fused timed measurement, and (with Compute) fused
-	// result execution.
+	// coalescing and (with Compute) fused result execution. Both answer
+	// with the same records: timed strategies measure every instance
+	// with the per-instance cold-cache protocol.
 	Queries []Query
 	// Strategy, when non-empty, fills in any query that names no strategy
 	// of its own. Queries that still name none after that use
@@ -58,7 +57,7 @@ func (e *Engine) Do(ctx context.Context, req Request) []Result {
 	case req.Compute:
 		return e.queryBatchExecCtx(ctx, qs, req.Inputs)
 	case len(qs) == 1:
-		rec, err := e.queryCtx(ctx, qs[0], false)
+		rec, err := e.queryCtx(ctx, qs[0])
 		return []Result{{Record: rec, Err: err}}
 	default:
 		rs := e.queryBatchCtx(ctx, qs)
@@ -68,51 +67,4 @@ func (e *Engine) Do(ctx context.Context, req Request) []Result {
 		}
 		return out
 	}
-}
-
-// Query answers one selection request with no deadline.
-//
-// Deprecated: use Do.
-func (e *Engine) Query(q Query) (*Record, error) {
-	return e.QueryCtx(context.Background(), q)
-}
-
-// QueryCtx answers one selection request under the caller's context.
-//
-// Deprecated: use Do.
-func (e *Engine) QueryCtx(ctx context.Context, q Query) (*Record, error) {
-	return e.queryCtx(ctx, q, false)
-}
-
-// QueryBatch answers the queries concurrently with no deadline.
-//
-// Deprecated: use Do.
-func (e *Engine) QueryBatch(qs []Query) []BatchResult {
-	return e.QueryBatchCtx(context.Background(), qs)
-}
-
-// QueryBatchCtx answers the queries concurrently under one shared
-// context. Note the historical single-element semantics this wrapper
-// preserves: a one-query batch still runs with fused measurement
-// enabled, unlike a one-query Do request.
-//
-// Deprecated: use Do.
-func (e *Engine) QueryBatchCtx(ctx context.Context, qs []Query) []BatchResult {
-	return e.queryBatchCtx(ctx, qs)
-}
-
-// QueryBatchExec answers the queries and computes their results with no
-// deadline.
-//
-// Deprecated: use Do with Compute set.
-func (e *Engine) QueryBatchExec(qs []Query, inputs []map[string]*mat.Dense) []BatchExecResult {
-	return e.QueryBatchExecCtx(context.Background(), qs, inputs)
-}
-
-// QueryBatchExecCtx answers the queries and computes each query's
-// result under the caller's context.
-//
-// Deprecated: use Do with Compute set.
-func (e *Engine) QueryBatchExecCtx(ctx context.Context, qs []Query, inputs []map[string]*mat.Dense) []BatchExecResult {
-	return e.queryBatchExecCtx(ctx, qs, inputs)
 }

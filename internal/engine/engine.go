@@ -16,7 +16,7 @@
 //     (lamb/internal/exec.PlanCache) shared with the measured executor,
 //     keyed by the bound algorithm, so timing-based strategies never
 //     recompile a plan for a cached (algorithm, instance) pair.
-//   - serving layer: Query and QueryBatch apply a selection strategy
+//   - serving layer: Do applies a selection strategy
 //     (lamb/internal/selection) and deduplicate concurrent identical
 //     queries with a singleflight, producing the machine-readable
 //     Record that both `lamb select -json` and `lamb serve` emit.
@@ -195,20 +195,17 @@ type Stats struct {
 	// backend only; zero-valued on the simulated backend).
 	Plans     cache.Stats `json:"plans"`
 	CallPlans cache.Stats `json:"call_plans"`
-	// BatchPlans counts execution-layer fused batch-plan lookups
-	// (measured backend only; zero-valued on the simulated backend).
-	BatchPlans cache.Stats `json:"batch_plans"`
-	// Queries counts Query calls; Deduped counts those answered by an
+	// Queries counts answered queries; Deduped counts those answered by an
 	// in-flight identical query (singleflight hits).
 	Queries uint64 `json:"queries"`
 	Deduped uint64 `json:"deduped"`
 	// Coalesced counts batch queries answered by an identical query in
 	// the same batch (within-batch dedup, before the singleflight layer).
 	Coalesced uint64 `json:"coalesced"`
-	// FusedQueries counts queries that went through a fused batched
-	// path: timed batch queries measured through fused plans, and batch
-	// queries whose result was computed through a shared fused plan
-	// (QueryBatchExecCtx).
+	// FusedQueries counts batch queries whose result was computed
+	// through a fused batch plan shared with other queries (Do with
+	// Compute set). Timed strategies never fuse: every measurement
+	// follows the per-instance cold-cache protocol.
 	FusedQueries uint64 `json:"fused_queries"`
 	// FuseRejected counts queries that could not take a fused path, by
 	// reason.
@@ -251,9 +248,8 @@ type Stats struct {
 	Backend string `json:"backend"`
 }
 
-// FuseRejects breaks down, by reason, the queries that asked for a
-// fused path (fused timed measurement or fused result execution) but
-// could not take it:
+// FuseRejects breaks down, by reason, the computed batch queries that
+// shared a bucket with others but could not execute fused:
 //
 //   - Unregistered: the executor has no batched path (e.g. the
 //     simulated backend).
@@ -585,14 +581,9 @@ func (e *Engine) algorithmsFor(x expr.Expression, inst expr.Instance) ([]expr.Al
 // record — but each waiter honours its own context, so one slow leader
 // cannot hold a cancelled request hostage. A context that expires
 // mid-measurement degrades timed strategies to a FLOPs-only answer (see
-// answer); a context that is already done fails immediately.
-//
-// fusedOK is the flag batch queries set: fused queries may answer timed
-// strategies through the fused batched measurement path (see answer).
-// Fused and per-instance flights are kept apart in the singleflight
-// table — they follow different measurement protocols, and a record
-// must reflect the protocol that produced it.
-func (e *Engine) queryCtx(ctx context.Context, q Query, fusedOK bool) (*Record, error) {
+// answer); a context that is already done fails immediately. Single and
+// batch queries share flights: both follow the same protocol.
+func (e *Engine) queryCtx(ctx context.Context, q Query) (*Record, error) {
 	e.queries.Add(1)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -602,9 +593,6 @@ func (e *Engine) queryCtx(ctx context.Context, q Query, fusedOK bool) (*Record, 
 		strat = DefaultStrategy
 	}
 	key := strings.ToLower(q.Expr) + "|" + q.Instance.String() + "|" + strat
-	if fusedOK {
-		key += "|fused"
-	}
 
 	e.sfMu.Lock()
 	if f, ok := e.inflight[key]; ok {
@@ -621,7 +609,7 @@ func (e *Engine) queryCtx(ctx context.Context, q Query, fusedOK bool) (*Record, 
 	e.inflight[key] = f
 	e.sfMu.Unlock()
 
-	f.rec, f.err = e.answer(ctx, q, strat, fusedOK)
+	f.rec, f.err = e.answer(ctx, q, strat)
 
 	e.sfMu.Lock()
 	delete(e.inflight, key)
@@ -705,7 +693,7 @@ func (e *Engine) degradeRun(run strategyRun, reason string) strategyRun {
 // algorithm set, apply the strategy, render the record. The profile
 // state is loaded once at entry — a concurrent ReloadProfiles swaps the
 // pointer without affecting this query.
-func (e *Engine) answer(ctx context.Context, q Query, strat string, fusedOK bool) (rec *Record, err error) {
+func (e *Engine) answer(ctx context.Context, q Query, strat string) (rec *Record, err error) {
 	defer func() {
 		// The expression layer panics on malformed custom expressions;
 		// a serving engine turns that into a query error instead of
@@ -735,20 +723,9 @@ func (e *Engine) answer(ctx context.Context, q Query, strat string, fusedOK bool
 	var post []selection.AlgPosterior
 	explored := false
 	if run.timed {
-		width := 0
-		if fusedOK {
-			width = e.fuseWidth(algs)
-		}
 		e.execMu.Lock()
-		if width >= 2 {
-			pick, err = e.chooseTimedFused(ctx, algs, width)
-		} else {
-			pick, err = chooseTimed(ctx, run.s, algs)
-		}
+		pick, err = chooseTimed(ctx, run.s, algs)
 		e.execMu.Unlock()
-		if err == nil && width >= 2 {
-			e.fused.Add(1)
-		}
 		if err != nil {
 			if ctx.Err() == nil {
 				return nil, err
@@ -822,57 +799,7 @@ func chooseTimed(ctx context.Context, s selection.Strategy, algs []expr.Algorith
 	return s.Choose(algs), nil
 }
 
-// fuseWidth returns the common fused measurement width for the set: the
-// smallest FuseChunk over its algorithms — one measurement repetition
-// executes one chunk, the packed-sweep width whose working set fits the
-// slab budget — so every candidate is measured under the same protocol.
-// 0 when the executor has no batched path or any algorithm is outside
-// the fused regime — the caller then uses the ordinary per-instance
-// measurement, and the reject is counted by reason in
-// Stats.FuseRejected.
-func (e *Engine) fuseWidth(algs []expr.Algorithm) int {
-	be, ok := e.timer.Exec.(exec.BatchExecutor)
-	if !ok {
-		e.rejUnregistered.Add(1)
-		return 0
-	}
-	width := 0
-	for i := range algs {
-		w := be.FuseChunk(&algs[i])
-		if w < 2 {
-			e.rejTooBig.Add(1)
-			return 0
-		}
-		if width == 0 || w < width {
-			width = w
-		}
-	}
-	return width
-}
-
-// chooseTimedFused is the oracle choice over fused batched measurement:
-// every algorithm is timed by executing width instances through one
-// fused plan per repetition (amortising the cache flush and per-dispatch
-// fixed costs), and the per-instance medians are compared exactly as the
-// per-instance oracle compares its measurements. The context is honoured
-// between repetitions, so the deadline degradation ladder behaves
-// identically to the per-instance path.
-func (e *Engine) chooseTimedFused(ctx context.Context, algs []expr.Algorithm, width int) (int, error) {
-	best := -1
-	bestT := 0.0
-	for i := range algs {
-		m, err := e.timer.MeasureAlgorithmBatchCtx(ctx, &algs[i], width)
-		if err != nil {
-			return -1, err
-		}
-		if best < 0 || m.Total < bestT {
-			best, bestT = i, m.Total
-		}
-	}
-	return best, nil
-}
-
-// batchWorkers bounds QueryBatch's concurrency.
+// batchWorkers bounds a batch request's concurrency.
 func batchWorkers(n int) int {
 	w := runtime.GOMAXPROCS(0) * 2
 	if w < 4 {
@@ -890,11 +817,10 @@ func batchWorkers(n int) int {
 // coalesced before dispatch: one representative computes, duplicates
 // share its record without ever entering the pipeline (counted in
 // Stats.Coalesced; cross-request duplicates are still deduplicated by
-// the singleflight layer underneath). Batch queries run with fused
-// execution enabled: timed strategies in the small-instance regime
-// measure through fused batch plans (Stats.FusedQueries). A context
-// that expires mid-batch fails the not-yet-answered queries with its
-// error.
+// the singleflight layer underneath). Every query follows the same
+// protocol as a single Do query: timed strategies measure each instance
+// cold, one at a time. A context that expires mid-batch fails the
+// not-yet-answered queries with its error.
 func (e *Engine) queryBatchCtx(ctx context.Context, qs []Query) []BatchResult {
 	out := make([]BatchResult, len(qs))
 	if len(qs) == 0 {
@@ -927,7 +853,7 @@ func (e *Engine) queryBatchCtx(ctx context.Context, qs []Query) []BatchResult {
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			rec, err := e.queryCtx(ctx, qs[i], true)
+			rec, err := e.queryCtx(ctx, qs[i])
 			out[i] = BatchResult{Record: rec, Err: err}
 		}(i)
 	}
@@ -952,7 +878,6 @@ func (e *Engine) Stats() Stats {
 	e.mu.Unlock()
 	if e.plans != nil {
 		s.Plans, s.CallPlans = e.plans.Stats()
-		s.BatchPlans = e.plans.BatchStats()
 	}
 	s.Queries = e.queries.Load()
 	s.Deduped = e.deduped.Load()

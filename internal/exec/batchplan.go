@@ -1,24 +1,27 @@
 package exec
 
-// This file implements fused batched execution plans: one algorithm, N
-// same-shape instances, one arena. The single-instance plan layout is
-// generalised to a per-instance stride — the arena is one slab holding
-// count copies of the liveness-packed layout, each instance's operands
-// at a fixed offset from its slab base — and every call binds to a
-// batched BLAS driver (blas.GemmBatch and friends) that executes all N
-// instances through one driver entry with shared packing buffers. For
-// the small-instance regime this amortises the fixed per-dispatch costs
-// (pool round-trips, validation, blocked-driver setup) that dominate
-// small problems, while producing results bitwise identical to running
-// the single-instance plan N times.
+// Fused batch plans: one expression, one algorithm family, N instances
+// in one slab arena. Each instance is laid out with its own compiled
+// layout, every slab is padded to the largest per-instance arena
+// (rounded to the 64-byte batch alignment) so all instances sit at one
+// common stride, and each instance's calls bind to the ordinary serial
+// kernels. Instances may share a shape (a homogeneous chunk) or differ
+// freely. Execution is step-major — call s runs across all instances
+// before call s+1 — so the per-dispatch fixed costs the fused path
+// exists to amortise (plan bookkeeping, validation, pool round-trips
+// hoisted by the kernels' pooling) are paid once per batch, and fills
+// consume the deterministic stream instance-major, exactly the stream N
+// consecutive single-instance plans would consume.
+//
+// Because every instance executes the exact serial kernel code a
+// single-instance Plan would run, on the same data, fused results are
+// bitwise identical to per-instance sequential execution by
+// construction.
 
 import (
 	"fmt"
-	"time"
 
-	"lamb/internal/blas"
 	"lamb/internal/expr"
-	"lamb/internal/kernels"
 	"lamb/internal/mat"
 	"lamb/internal/xrand"
 )
@@ -27,51 +30,79 @@ import (
 // every instance's slab starts on a cache-line boundary.
 const batchAlign = 8
 
-// BatchPlan is a compiled algorithm fused over count same-shape
-// instances. Compile once, execute many times; like Plan it is not safe
-// for concurrent use.
-type BatchPlan struct {
-	alg    *expr.Algorithm
-	count  int
-	stride int // instance slab stride in float64s
-	index  map[string]int
+// MixedBatchPlan is a compiled algorithm fused over instances of any
+// shapes, equal or mixed. Compile once, execute many times; like Plan
+// it is not safe for concurrent use.
+type MixedBatchPlan struct {
+	algs   []*expr.Algorithm
+	stride int // common instance slab stride in float64s
 	arena  []float64
-	// insts[i][j] is instance i's header for operand j, carved out of
-	// the shared arena at offset i·stride + offsets[j].
-	insts      [][]mat.Dense
-	steps      []planStep
-	fills      []planFill
+	// Per-instance state: each instance has its own operand index,
+	// headers (true shapes, laid out by its own layout within its padded
+	// slab), fill recipe, and output slot.
+	index   []map[string]int
+	insts   [][]mat.Dense
+	fills   [][]planFill
+	outputs []int
+	// steps[s][i] runs call s of instance i on the serial kernels.
+	steps      [][]func()
 	spdScratch []float64
-	times      []float64
-	output     int
 }
 
-// CompileBatchPlan lowers the algorithm into a BatchPlan over count
-// instances. Compilation allocates everything an execution will ever
-// need, so Execute and ExecuteTimed are allocation-free afterwards.
-func CompileBatchPlan(alg *expr.Algorithm, count int) (*BatchPlan, error) {
-	if count < 1 {
-		return nil, fmt.Errorf("exec: batch plan needs count >= 1, got %d", count)
+// CompileBatchPlanMixed lowers one algorithm family bound at any
+// instances into a fused plan. Every element must be the same algorithm
+// of the same expression (same call structure: count, kinds,
+// transposes, operand IDs) bound at its own instance; shapes may differ
+// freely, and one bound algorithm may repeat. Compilation allocates
+// everything an execution will ever need, so Execute is allocation-free
+// afterwards.
+func CompileBatchPlanMixed(algs []*expr.Algorithm) (*MixedBatchPlan, error) {
+	if len(algs) < 1 {
+		return nil, fmt.Errorf("exec: mixed batch plan needs at least one instance")
 	}
-	lay, err := compileLayout(alg)
-	if err != nil {
-		return nil, err
+	ref := algs[0]
+	for i, alg := range algs[1:] {
+		if err := sameCallStructure(ref, alg); err != nil {
+			return nil, fmt.Errorf("exec: mixed batch instance %d: %w", i+1, err)
+		}
 	}
-	stride := (lay.arenaLen + batchAlign - 1) &^ (batchAlign - 1)
+	count := len(algs)
+	lays := make([]*planLayout, count)
+	stride, scratchLen := 0, 0
+	for i, alg := range algs {
+		lay, err := compileLayout(alg)
+		if err != nil {
+			return nil, err
+		}
+		lays[i] = lay
+		s := (lay.arenaLen + batchAlign - 1) &^ (batchAlign - 1)
+		if s > stride {
+			stride = s
+		}
+		if lay.scratchLen > scratchLen {
+			scratchLen = lay.scratchLen
+		}
+	}
 	if stride == 0 {
 		stride = batchAlign
 	}
-	p := &BatchPlan{
-		alg:    alg,
-		count:  count,
-		stride: stride,
-		index:  lay.index,
-		output: lay.output,
-		fills:  lay.fills,
+	p := &MixedBatchPlan{
+		algs:       algs,
+		stride:     stride,
+		arena:      make([]float64, stride*count),
+		index:      make([]map[string]int, count),
+		insts:      make([][]mat.Dense, count),
+		fills:      make([][]planFill, count),
+		outputs:    make([]int, count),
+		spdScratch: make([]float64, scratchLen),
 	}
-	p.arena = make([]float64, stride*count)
-	p.insts = make([][]mat.Dense, count)
-	for inst := 0; inst < count; inst++ {
+	nsteps := len(ref.Calls)
+	p.steps = make([][]func(), nsteps)
+	for s := range p.steps {
+		p.steps[s] = make([]func(), count)
+	}
+	for inst, alg := range algs {
+		lay := lays[inst]
 		hs := make([]mat.Dense, len(lay.order))
 		for i, id := range lay.order {
 			sh := alg.Shapes[id]
@@ -83,127 +114,83 @@ func CompileBatchPlan(alg *expr.Algorithm, count int) (*BatchPlan, error) {
 				Data:   p.arena[off : off+lay.sizes[i]],
 			}
 		}
+		p.index[inst] = lay.index
 		p.insts[inst] = hs
-	}
-	p.spdScratch = make([]float64, lay.scratchLen)
-
-	// Batch-base headers: instance 0's operands with open-ended data, so
-	// the batched drivers can stride forward through the slab.
-	bases := make([]*mat.Dense, len(lay.order))
-	for i, id := range lay.order {
-		sh := alg.Shapes[id]
-		bases[i] = &mat.Dense{
-			Rows:   sh.Rows,
-			Cols:   sh.Cols,
-			Stride: max(sh.Rows, 1),
-			Data:   p.arena[lay.offsets[i]:],
+		p.fills[inst] = lay.fills
+		p.outputs[inst] = lay.output
+		for s, c := range alg.Calls {
+			run, err := bindCall(c, func(id string) *mat.Dense { return &hs[lay.index[id]] })
+			if err != nil {
+				return nil, err
+			}
+			p.steps[s][inst] = run
 		}
 	}
-	nsteps := len(alg.Calls)
-	p.steps = make([]planStep, nsteps)
-	for s, c := range alg.Calls {
-		run, err := bindBatchCall(c, func(id string) *mat.Dense { return bases[p.index[id]] }, stride, count)
-		if err != nil {
-			return nil, err
-		}
-		p.steps[s] = planStep{call: c, run: run}
-	}
-	p.times = make([]float64, nsteps)
 	return p, nil
 }
 
-// bindBatchCall resolves the call's operands to their batch-base headers
-// and returns a closure that executes it on the batched BLAS drivers,
-// all operands advancing at the plan's instance stride. Per-instance
-// semantics match bindCall exactly.
-func bindBatchCall(c kernels.Call, get func(string) *mat.Dense, stride, count int) (func(), error) {
-	switch c.Kind {
-	case kernels.Gemm:
-		a, b, out := get(c.In[0]), get(c.In[1]), get(c.Out)
-		tA, tB := c.TransA, c.TransB
-		return func() { blas.GemmBatch(tA, tB, 1, a, stride, b, stride, 0, out, stride, count) }, nil
-	case kernels.Syrk:
-		a, out := get(c.In[0]), get(c.Out)
-		trans := c.TransA
-		return func() { blas.SyrkBatch(mat.Lower, trans, 1, a, stride, 0, out, stride, count) }, nil
-	case kernels.Symm:
-		a, b, out := get(c.In[0]), get(c.In[1]), get(c.Out)
-		return func() { blas.SymmBatch(mat.Lower, 1, a, stride, b, stride, 0, out, stride, count) }, nil
-	case kernels.Tri2Full:
-		out := get(c.Out)
-		return func() { blas.Tri2FullBatch(mat.Lower, out, stride, count) }, nil
-	case kernels.Potrf:
-		out := get(c.Out)
-		id := c.Out
-		return func() {
-			if err := blas.PotrfBatch(out, stride, count); err != nil {
-				panic(fmt.Sprintf("exec: %v (operand %q must be SPD)", err, id))
-			}
-		}, nil
-	case kernels.Trsm:
-		l, b := get(c.In[0]), get(c.Out)
-		trans := c.TransA
-		return func() { blas.TrsmBatch(mat.Lower, trans, 1, l, stride, b, stride, count) }, nil
-	case kernels.AddSym:
-		out, r := get(c.Out), get(c.In[1])
-		return func() { blas.AddSymBatch(mat.Lower, out, stride, r, stride, count) }, nil
-	default:
-		return nil, fmt.Errorf("exec: cannot bind unknown kind %v", c.Kind)
+// sameCallStructure checks that two bound algorithms share one call
+// structure — the same algorithm of the same expression at different
+// instances. Kinds, transposes, and operand IDs must agree; dimensions
+// are the instances' own business.
+func sameCallStructure(a, b *expr.Algorithm) error {
+	if len(a.Calls) != len(b.Calls) {
+		return fmt.Errorf("call counts differ (%d vs %d)", len(a.Calls), len(b.Calls))
 	}
+	for s := range a.Calls {
+		ca, cb := a.Calls[s], b.Calls[s]
+		if ca.Kind != cb.Kind || ca.TransA != cb.TransA || ca.TransB != cb.TransB ||
+			ca.Out != cb.Out || len(ca.In) != len(cb.In) {
+			return fmt.Errorf("call %d differs (%s vs %s)", s, ca.String(), cb.String())
+		}
+		for i := range ca.In {
+			if ca.In[i] != cb.In[i] {
+				return fmt.Errorf("call %d operand %d differs (%s vs %s)", s, i, ca.In[i], cb.In[i])
+			}
+		}
+	}
+	return nil
 }
 
 // FillInputs refills every instance's input operands in place,
-// instance-major: instance 0's inputs first, then instance 1's, exactly
-// the stream order N consecutive Plan.FillInputs calls would consume.
-// It performs no heap allocations.
-func (p *BatchPlan) FillInputs(rng *xrand.Rand) {
+// instance-major, with each instance's true shapes — exactly the stream
+// order N consecutive single-instance Plan.FillInputs calls would
+// consume. It performs no heap allocations.
+func (p *MixedBatchPlan) FillInputs(rng *xrand.Rand) {
 	for inst := range p.insts {
-		for _, f := range p.fills {
+		for _, f := range p.fills[inst] {
 			fillOperand(&p.insts[inst][f.idx], f.kind, p.spdScratch, rng)
 		}
 	}
 }
 
-// Execute runs the fused call sequence once: each step executes all
-// count instances through one batched driver invocation. It performs no
-// heap allocations.
-func (p *BatchPlan) Execute() {
-	for i := range p.steps {
-		p.steps[i].run()
+// Execute runs the fused call sequence once, step-major: call s runs
+// across all instances before call s+1. Instances are independent, so
+// this ordering is observationally identical to running each instance's
+// plan to completion. It performs no heap allocations.
+func (p *MixedBatchPlan) Execute() {
+	for s := range p.steps {
+		for _, run := range p.steps[s] {
+			run()
+		}
 	}
 }
-
-// ExecuteTimed runs the fused sequence, timing each batched call with
-// the monotonic clock. times[s] covers all count instances of step s.
-// The returned slice is owned by the plan and reused by the next
-// ExecuteTimed; it performs no heap allocations.
-func (p *BatchPlan) ExecuteTimed() []float64 {
-	for i := range p.steps {
-		start := time.Now()
-		p.steps[i].run()
-		p.times[i] = time.Since(start).Seconds()
-	}
-	return p.times
-}
-
-// Alg returns the algorithm this plan was compiled from.
-func (p *BatchPlan) Alg() *expr.Algorithm { return p.alg }
 
 // Count returns the number of fused instances.
-func (p *BatchPlan) Count() int { return p.count }
+func (p *MixedBatchPlan) Count() int { return len(p.algs) }
 
-// Stride returns the per-instance slab stride in float64s.
-func (p *BatchPlan) Stride() int { return p.stride }
+// Stride returns the common per-instance slab stride in float64s.
+func (p *MixedBatchPlan) Stride() int { return p.stride }
 
 // ArenaLen returns the length in float64s of the whole batch arena.
-func (p *BatchPlan) ArenaLen() int { return len(p.arena) }
+func (p *MixedBatchPlan) ArenaLen() int { return len(p.arena) }
 
 // SetInput copies src into instance inst's named operand slot. It panics
 // if the operand is unknown or the shapes disagree.
-func (p *BatchPlan) SetInput(inst int, id string, src *mat.Dense) {
-	i, ok := p.index[id]
+func (p *MixedBatchPlan) SetInput(inst int, id string, src *mat.Dense) {
+	i, ok := p.index[inst][id]
 	if !ok {
-		panic(fmt.Sprintf("exec: batch plan has no operand %q", id))
+		panic(fmt.Sprintf("exec: mixed batch plan has no operand %q", id))
 	}
 	dst := &p.insts[inst][i]
 	if src.Rows != dst.Rows || src.Cols != dst.Cols {
@@ -214,13 +201,15 @@ func (p *BatchPlan) SetInput(inst int, id string, src *mat.Dense) {
 }
 
 // Operand returns instance inst's arena-backed matrix for the given
-// operand ID, or nil if the plan has no such operand.
-func (p *BatchPlan) Operand(inst int, id string) *mat.Dense {
-	if i, ok := p.index[id]; ok {
+// operand ID, or nil if that instance has no such operand.
+func (p *MixedBatchPlan) Operand(inst int, id string) *mat.Dense {
+	if i, ok := p.index[inst][id]; ok {
 		return &p.insts[inst][i]
 	}
 	return nil
 }
 
 // Output returns instance inst's arena-backed result operand.
-func (p *BatchPlan) Output(inst int) *mat.Dense { return &p.insts[inst][p.output] }
+func (p *MixedBatchPlan) Output(inst int) *mat.Dense {
+	return &p.insts[inst][p.outputs[inst]]
+}

@@ -1,24 +1,24 @@
 package exec
 
 import (
-	"context"
+	"fmt"
 	"testing"
 
 	"lamb/internal/blas"
 	"lamb/internal/expr"
-	"lamb/internal/machine"
 	"lamb/internal/mat"
 	"lamb/internal/xrand"
 )
 
-// TestBatchPlanMatchesSequential pins the tentpole equivalence: a fused
-// batch execution produces bitwise-identical results to running the
-// single-instance plan once per instance from the same fill stream, for
-// every algorithm of every registered expression at a random small
-// instance — at blas worker caps 1, 2, and 4, so the parallel batched
-// drivers are held to the same bitwise standard as the serial ones, and
-// at a batch wider than one fused chunk (72 > 64), so the chunked
-// regime is covered too.
+// TestBatchPlanMatchesSequential pins the fused ≡ sequential invariant
+// for the homogeneous chunks the engine sends the fused path: a batch
+// plan of one bound algorithm repeated produces bitwise-identical
+// per-instance results to running the single-instance plan once per
+// instance from the same fill stream, for every algorithm of every
+// registered expression at a random small instance — at blas worker
+// caps 1, 2, and 4, so the kernels' parallel fan-out is held to the
+// same bitwise standard as the serial path, and at a batch wider than
+// one fused chunk (72 > 64).
 func TestBatchPlanMatchesSequential(t *testing.T) {
 	defer blas.SetMaxWorkers(blas.SetMaxWorkers(0))
 	for _, workers := range []int{1, 2, 4} {
@@ -26,7 +26,7 @@ func TestBatchPlanMatchesSequential(t *testing.T) {
 		rng := xrand.New(0xba7c4)
 		count := 3
 		if workers > 1 {
-			count = 72 // wider than one chunk: exercises partitioning + chunk sweep
+			count = 72
 		}
 		for _, name := range expr.Names() {
 			ex, err := expr.Lookup(name)
@@ -38,27 +38,12 @@ func TestBatchPlanMatchesSequential(t *testing.T) {
 				inst[i] = 5 + rng.Intn(28)
 			}
 			algs := ex.Algorithms(inst)
-			for i := range algs {
-				alg := &algs[i]
-				bp, err := CompileBatchPlan(alg, count)
-				if err != nil {
-					t.Fatalf("%s/%s %v: CompileBatchPlan: %v", name, alg.Name, inst, err)
+			for ai := range algs {
+				same := make([]*expr.Algorithm, count)
+				for j := range same {
+					same[j] = &algs[ai]
 				}
-				sp, err := CompilePlan(alg)
-				if err != nil {
-					t.Fatalf("%s/%s: CompilePlan: %v", name, alg.Name, err)
-				}
-				fused, seq := xrand.New(0xf111), xrand.New(0xf111)
-				bp.FillInputs(fused)
-				bp.Execute()
-				for inst := 0; inst < count; inst++ {
-					sp.FillInputs(seq)
-					sp.Execute()
-					if !mat.Equal(sp.Output(), bp.Output(inst)) {
-						t.Errorf("%s/%s %v workers=%d: fused instance %d differs from sequential execution",
-							name, alg.Name, inst, workers, inst)
-					}
-				}
+				checkBatchMatchesSequential(t, fmt.Sprintf("%s/identical workers=%d", name, workers), ai, same)
 			}
 		}
 	}
@@ -92,55 +77,21 @@ func TestMixedBatchPlanMatchesSequential(t *testing.T) {
 			for j := range mixed {
 				mixed[j] = &sets[j][ai]
 			}
-			mp, err := CompileBatchPlanMixed(mixed)
-			if err != nil {
-				t.Fatalf("%s alg %d: CompileBatchPlanMixed: %v", name, ai, err)
-			}
-			if mp.Stride()%batchAlign != 0 {
-				t.Errorf("%s alg %d: mixed stride %d not %d-aligned", name, ai, mp.Stride(), batchAlign)
-			}
-			fused, seq := xrand.New(0x5eed5), xrand.New(0x5eed5)
-			mp.FillInputs(fused)
-			mp.Execute()
-			for j := 0; j < count; j++ {
-				sp, err := CompilePlan(mixed[j])
-				if err != nil {
-					t.Fatalf("%s alg %d inst %d: CompilePlan: %v", name, ai, j, err)
-				}
-				sp.FillInputs(seq)
-				sp.Execute()
-				if !mat.Equal(sp.Output(), mp.Output(j)) {
-					t.Errorf("%s alg %d: mixed instance %d differs from sequential execution", name, ai, j)
-				}
-			}
-		}
-	}
-}
-
-// TestMixedBatchPlanRejectsForeignStructure checks the mixed compiler's
-// gate: algorithms with different call structures cannot share a plan.
-func TestMixedBatchPlanRejectsForeignStructure(t *testing.T) {
-	a := expr.NewAATB().Algorithms(expr.Instance{8, 8, 8})
-	b := expr.NewLstSq().Algorithms(expr.Instance{16, 8, 4})
-	if _, err := CompileBatchPlanMixed([]*expr.Algorithm{&a[0], &b[0]}); err == nil {
-		t.Error("mixed plan accepted algorithms of different expressions")
-	}
-	if len(a) > 1 {
-		if _, err := CompileBatchPlanMixed([]*expr.Algorithm{&a[0], &a[1]}); err == nil {
-			t.Error("mixed plan accepted two different algorithms of one expression")
+			checkBatchMatchesSequential(t, name+"/mixed", ai, mixed)
 		}
 	}
 }
 
 // TestBatchPlanFillMatchesSequentialStream pins the fill-stream
-// contract: BatchPlan.FillInputs consumes the deterministic stream in
-// the same order as count consecutive Plan.FillInputs calls, so fused
-// and sequential measurements see identical operand contents.
+// contract on its own: FillInputs consumes the deterministic stream
+// instance-major, exactly as count consecutive Plan.FillInputs calls
+// would, so fused and sequential measurements see identical operand
+// contents.
 func TestBatchPlanFillMatchesSequentialStream(t *testing.T) {
 	algs := expr.NewLstSq().Algorithms(expr.Instance{32, 16, 8})
 	alg := &algs[0]
 	const count = 4
-	bp, err := CompileBatchPlan(alg, count)
+	bp, err := CompileBatchPlanMixed([]*expr.Algorithm{alg, alg, alg, alg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,76 +111,143 @@ func TestBatchPlanFillMatchesSequentialStream(t *testing.T) {
 	}
 }
 
-// TestBatchPlanArenaLayout checks the slab geometry: cache-line-aligned
-// instance stride, arena covering all instances, and operands of
-// adjacent instances exactly one stride apart.
-func TestBatchPlanArenaLayout(t *testing.T) {
-	algs := expr.NewAATB().Algorithms(expr.Instance{24, 16, 8})
-	alg := &algs[0]
-	const count = 5
-	bp, err := CompileBatchPlan(alg, count)
+// checkBatchMatchesSequential compiles algs into one batch plan and
+// checks its fill stream and its outputs against per-instance plans.
+func checkBatchMatchesSequential(t *testing.T, label string, ai int, algs []*expr.Algorithm) {
+	t.Helper()
+	mp, err := CompileBatchPlanMixed(algs)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s alg %d: CompileBatchPlanMixed: %v", label, ai, err)
 	}
-	if bp.Count() != count {
-		t.Errorf("Count() = %d, want %d", bp.Count(), count)
+	if mp.Stride()%batchAlign != 0 {
+		t.Errorf("%s alg %d: stride %d not %d-aligned", label, ai, mp.Stride(), batchAlign)
 	}
-	if bp.Stride()%batchAlign != 0 {
-		t.Errorf("stride %d not %d-aligned", bp.Stride(), batchAlign)
-	}
-	if got, want := bp.ArenaLen(), bp.Stride()*count; got != want {
-		t.Errorf("ArenaLen() = %d, want stride·count = %d", got, want)
-	}
-	sp, err := CompilePlan(alg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bp.Stride() < sp.ArenaLen() {
-		t.Errorf("stride %d smaller than single-instance arena %d", bp.Stride(), sp.ArenaLen())
-	}
-	for _, id := range alg.Inputs {
-		o0, o1 := bp.Operand(0, id), bp.Operand(1, id)
-		o0.Data[0] = 42
-		if o1.Data[0] == 42 {
-			t.Fatalf("operand %q of instances 0 and 1 alias", id)
+	sps := make([]*Plan, len(algs))
+	for j, alg := range algs {
+		if sps[j], err = CompilePlan(alg); err != nil {
+			t.Fatalf("%s alg %d inst %d: CompilePlan: %v", label, ai, j, err)
 		}
-		o0.Data[0] = 0
+	}
+	fused, seq := xrand.New(0x5eed5), xrand.New(0x5eed5)
+	mp.FillInputs(fused)
+	for j, sp := range sps {
+		sp.FillInputs(seq)
+		for _, id := range algs[j].Inputs {
+			if !mat.Equal(sp.Operand(id), mp.Operand(j, id)) {
+				t.Errorf("%s alg %d: input %q of instance %d differs from the sequential fill stream", label, ai, id, j)
+			}
+		}
+	}
+	mp.Execute()
+	for j, sp := range sps {
+		sp.Execute()
+		if !mat.Equal(sp.Output(), mp.Output(j)) {
+			t.Errorf("%s alg %d: fused instance %d differs from sequential execution", label, ai, j)
+		}
 	}
 }
 
-// TestMeasuredTimeAlgorithmBatchZeroAllocs extends the zero-alloc
-// guarantee to the fused batched path: after the batch plan is compiled
-// (first repetition), a fused batch repetition — refill all instances,
-// flush, execute every batched call — performs zero heap allocations,
-// serial and through the parallel tier alike (the persistent workers
-// and pooled job descriptors keep the parallel dispatch alloc-free).
-func TestMeasuredTimeAlgorithmBatchZeroAllocs(t *testing.T) {
+// TestMixedBatchPlanRejectsForeignStructure checks the mixed compiler's
+// gate: algorithms with different call structures cannot share a plan.
+func TestMixedBatchPlanRejectsForeignStructure(t *testing.T) {
+	a := expr.NewAATB().Algorithms(expr.Instance{8, 8, 8})
+	b := expr.NewLstSq().Algorithms(expr.Instance{16, 8, 4})
+	if _, err := CompileBatchPlanMixed([]*expr.Algorithm{&a[0], &b[0]}); err == nil {
+		t.Error("mixed plan accepted algorithms of different expressions")
+	}
+	if len(a) > 1 {
+		if _, err := CompileBatchPlanMixed([]*expr.Algorithm{&a[0], &a[1]}); err == nil {
+			t.Error("mixed plan accepted two different algorithms of one expression")
+		}
+	}
+}
+
+// TestMixedBatchPlanArenaLayout checks the slab geometry: a
+// cache-line-aligned common stride at least as large as every
+// instance's own arena, an arena covering all instances, and no
+// aliasing between the operands of adjacent instances.
+func TestMixedBatchPlanArenaLayout(t *testing.T) {
+	small := expr.NewAATB().Algorithms(expr.Instance{24, 16, 8})
+	large := expr.NewAATB().Algorithms(expr.Instance{30, 20, 12})
+	algs := []*expr.Algorithm{&small[0], &large[0], &small[0], &small[0], &large[0]}
+	p, err := CompileBatchPlanMixed(algs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Count() != len(algs) {
+		t.Errorf("Count() = %d, want %d", p.Count(), len(algs))
+	}
+	if p.Stride()%batchAlign != 0 {
+		t.Errorf("stride %d not %d-aligned", p.Stride(), batchAlign)
+	}
+	if got, want := p.ArenaLen(), p.Stride()*len(algs); got != want {
+		t.Errorf("ArenaLen() = %d, want stride·count = %d", got, want)
+	}
+	for _, alg := range algs {
+		sp, err := CompilePlan(alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Stride() < sp.ArenaLen() {
+			t.Errorf("stride %d smaller than single-instance arena %d", p.Stride(), sp.ArenaLen())
+		}
+	}
+	for inst := 0; inst+1 < len(algs); inst++ {
+		for _, id := range algs[inst].Inputs {
+			o0, o1 := p.Operand(inst, id), p.Operand(inst+1, id)
+			o0.Data[0] = 42
+			if o1.Data[0] == 42 {
+				t.Fatalf("operand %q of instances %d and %d alias", id, inst, inst+1)
+			}
+			o0.Data[0] = 0
+		}
+	}
+}
+
+// TestMixedBatchPlanZeroAllocs extends the zero-alloc guarantee to the
+// fused path: after the batch plan is compiled, refilling every
+// instance and executing the fused call sequence performs zero heap
+// allocations, for identical and mixed instances alike. Runs with a
+// single worker: the kernels' parallel fan-out necessarily allocates
+// goroutine state.
+func TestMixedBatchPlanZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation counts are meaningless")
 	}
 	defer blas.SetMaxWorkers(blas.SetMaxWorkers(1))
-	e := NewMeasured()
-	e.FlushBytes = 1 << 20
-	for _, workers := range []int{1, 2} {
-		blas.SetMaxWorkers(workers)
-		for _, tc := range []struct {
-			name  string
-			algs  []expr.Algorithm
-			count int
-		}{
-			{"chain", expr.NewChainABCD().Algorithms(expr.Instance{24, 16, 20, 12, 8}), 8},
-			{"aatb", expr.NewAATB().Algorithms(expr.Instance{24, 16, 8}), 16},
-			{"lstsq", expr.NewLstSq().Algorithms(expr.Instance{32, 16, 8}), 8},
-		} {
-			for i := range tc.algs {
-				alg := &tc.algs[i]
-				e.TimeAlgorithmBatch(alg, tc.count, 0) // compile the plan, warm pools + workers
+	for _, tc := range []struct {
+		name string
+		x    expr.Expression
+		a, b expr.Instance
+	}{
+		{"chain", expr.NewChainABCD(), expr.Instance{24, 16, 20, 12, 8}, expr.Instance{30, 18, 22, 14, 9}},
+		{"aatb", expr.NewAATB(), expr.Instance{24, 16, 8}, expr.Instance{28, 20, 12}},
+		{"lstsq", expr.NewLstSq(), expr.Instance{32, 16, 8}, expr.Instance{40, 20, 10}},
+		{"gls", expr.NewGLS(), expr.Instance{16, 24, 16, 8}, expr.Instance{20, 28, 18, 10}},
+	} {
+		as, bs := tc.x.Algorithms(tc.a), tc.x.Algorithms(tc.b)
+		for i := range as {
+			for _, batch := range []struct {
+				kind string
+				algs []*expr.Algorithm
+			}{
+				{"identical", []*expr.Algorithm{&as[i], &as[i], &as[i], &as[i]}},
+				{"mixed", []*expr.Algorithm{&as[i], &bs[i], &as[i], &bs[i]}},
+			} {
+				p, err := CompileBatchPlanMixed(batch.algs)
+				if err != nil {
+					t.Fatalf("%s algorithm %d: %v", tc.name, as[i].Index, err)
+				}
+				rng := xrand.New(0xa11c)
+				p.FillInputs(rng) // warm the kernels' buffer pools
+				p.Execute()
 				allocs := testing.AllocsPerRun(10, func() {
-					e.TimeAlgorithmBatch(alg, tc.count, 1)
+					p.FillInputs(rng)
+					p.Execute()
 				})
 				if allocs != 0 {
-					t.Errorf("workers=%d %s algorithm %d (%s): %v allocs per fused batch repetition, want 0",
-						workers, tc.name, alg.Index, alg.Name, allocs)
+					t.Errorf("%s %s algorithm %d (%s): %v allocs per fused fill+execute, want 0",
+						batch.kind, tc.name, as[i].Index, as[i].Name, allocs)
 				}
 			}
 		}
@@ -255,32 +273,5 @@ func TestMeasuredFuseWidth(t *testing.T) {
 	}
 	if w := e.FuseWidth(&big[0]); w != 0 {
 		t.Errorf("FuseWidth(1200-dim aatb) = %d, want 0 (outside the fused regime)", w)
-	}
-}
-
-// TestMeasureAlgorithmBatchCtx checks the fused measurement protocol:
-// per-instance scaling, context cancellation between repetitions, and
-// rejection of executors without a batched path.
-func TestMeasureAlgorithmBatchCtx(t *testing.T) {
-	e := NewMeasured()
-	e.FlushBytes = 1 << 20
-	timer := &Timer{Exec: e, Reps: 2}
-	algs := expr.NewAATB().Algorithms(expr.Instance{16, 8, 8})
-	alg := &algs[0]
-	m, err := timer.MeasureAlgorithmBatchCtx(context.Background(), alg, 8)
-	if err != nil {
-		t.Fatalf("MeasureAlgorithmBatchCtx: %v", err)
-	}
-	if m.Total <= 0 || len(m.PerCall) != len(alg.Calls) {
-		t.Errorf("measurement %+v malformed", m)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := timer.MeasureAlgorithmBatchCtx(ctx, alg, 8); err == nil {
-		t.Error("cancelled context not honoured")
-	}
-	simTimer := &Timer{Exec: NewSimulated(machine.NewDefault()), Reps: 2}
-	if _, err := simTimer.MeasureAlgorithmBatchCtx(context.Background(), alg, 8); err == nil {
-		t.Error("simulated executor accepted a fused batch measurement")
 	}
 }

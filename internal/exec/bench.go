@@ -71,53 +71,6 @@ type AlgBenchResult struct {
 	AllocsPerRep uint64 `json:"allocs_per_rep"`
 }
 
-// BatchBenchResult is one fused-vs-sequential comparison point: the
-// min-FLOPs algorithm of an expression executed over a batch of small
-// instances, once as the engine's per-instance dispatch (fill, flush,
-// execute for every instance) and once fused through one BatchPlan (fill
-// all, one flush, batched drivers). Rates are aggregate across the whole
-// batch; Speedup is the fused-over-sequential wall-time ratio.
-type BatchBenchResult struct {
-	// Expr and Inst identify the expression and the per-instance sizes.
-	Expr string `json:"expr"`
-	Inst string `json:"inst"`
-	// Alg is the timed algorithm's 1-based index (the min-FLOPs one).
-	Alg int `json:"alg"`
-	// Count is the batch width.
-	Count int `json:"count"`
-	// Reps is the number of timed repetitions behind the medians.
-	Reps int `json:"reps"`
-	// SeqSeconds and FusedSeconds are median whole-batch wall times,
-	// dispatch overheads (refill, cache flush) included.
-	SeqSeconds   float64 `json:"seq_seconds"`
-	FusedSeconds float64 `json:"fused_seconds"`
-	// SeqGFlops and FusedGFlops are the aggregate rates over the batch.
-	SeqGFlops   float64 `json:"seq_gflops"`
-	FusedGFlops float64 `json:"fused_gflops"`
-	// SeqQPS and FusedQPS are instances answered per second.
-	SeqQPS   float64 `json:"seq_qps"`
-	FusedQPS float64 `json:"fused_qps"`
-	// Speedup is SeqSeconds / FusedSeconds.
-	Speedup float64 `json:"speedup"`
-	// ParFused holds the parallel-tier points: the same fused batch
-	// executed with the blas worker cap at 1, 2, 4 (the workers=1 point
-	// is the serial-fused baseline re-measured through the same sweep).
-	// On a single-core host the parallel tier cannot beat serial and
-	// parity is the expected outcome (see BenchReport.Meta).
-	ParFused []ParFusedPoint `json:"par_fused,omitempty"`
-}
-
-// ParFusedPoint is one parallel-tier fused measurement of a batch bench
-// point at a fixed blas worker cap.
-type ParFusedPoint struct {
-	Workers int     `json:"workers"`
-	Seconds float64 `json:"seconds"`
-	GFlops  float64 `json:"gflops"`
-	QPS     float64 `json:"qps"`
-	// Speedup is the serial-fused median over this point's median.
-	Speedup float64 `json:"speedup"`
-}
-
 // BenchReport is a full benchmark-grid run, serialised to BENCH_<n>.json
 // by the lamb bench subcommand.
 type BenchReport struct {
@@ -133,15 +86,8 @@ type BenchReport struct {
 	// Algorithms holds the whole-algorithm timing points (lamb bench
 	// -algs); absent from kernel-only runs.
 	Algorithms []AlgBenchResult `json:"algorithms,omitempty"`
-	// Batches holds the fused-vs-sequential batch points (lamb bench
-	// -batch); absent from kernel-only runs. The compare subcommand
-	// reports deltas on this section informationally only (fused
-	// speedups are a headline, not a regression gate).
-	Batches []BatchBenchResult `json:"batches,omitempty"`
 	// Meta carries free-form provenance notes about the run — in
-	// particular the host's CPU count, and on single-core hosts the note
-	// that parallel-fused points are expected at parity with
-	// serial-fused.
+	// particular the host's CPU count.
 	Meta map[string]string `json:"meta,omitempty"`
 }
 
@@ -271,130 +217,6 @@ func RunAlgBench(e *Measured, reps int) []AlgBenchResult {
 	return out
 }
 
-// minFlopsAlg returns the algorithm with the smallest attributed FLOP
-// count — the one a min-flops selection would execute, and therefore the
-// representative workload for dispatch-overhead comparisons.
-func minFlopsAlg(algs []expr.Algorithm) *expr.Algorithm {
-	best := &algs[0]
-	for i := range algs[1:] {
-		if algs[i+1].Flops() < best.Flops() {
-			best = &algs[i+1]
-		}
-	}
-	return best
-}
-
-// benchParWorkers is the worker-cap sweep the batch grid measures its
-// parallel-fused points at.
-var benchParWorkers = []int{1, 2, 4}
-
-// BenchBatch times one fused-vs-sequential comparison point: count
-// instances of the expression's min-FLOPs algorithm, first dispatched
-// per instance exactly as the engine's sequential path does (refill,
-// cache flush, execute — per instance), then fused through one BatchPlan
-// (refill all, one flush, one batched execution). Both paths run the
-// full measurement protocol, so the gap is the fused design's win:
-// amortised flushes, shared packing buffers, and no per-dispatch setup.
-// The sequential and fused baselines run with the blas worker cap at 1
-// (serial fused kernels); each entry of parWorkers then re-times the
-// fused batch with the cap at that count, so the parallel batched tier
-// is measured against the serial-fused baseline at every width.
-func BenchBatch(e *Measured, exprName string, inst expr.Instance, count, reps int, parWorkers []int) BatchBenchResult {
-	if reps < 1 {
-		reps = 1
-	}
-	ex, err := expr.Lookup(exprName)
-	if err != nil {
-		panic(fmt.Sprintf("exec: %v", err))
-	}
-	algs := ex.Algorithms(inst)
-	alg := minFlopsAlg(algs)
-
-	defer blas.SetMaxWorkers(blas.SetMaxWorkers(1))
-
-	// Warm both paths: compile plans, populate pools.
-	e.TimeAlgorithm(alg, 0)
-	e.TimeAlgorithmBatch(alg, count, 0)
-
-	seq := make([]float64, reps)
-	fused := make([]float64, reps)
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		for i := 0; i < count; i++ {
-			e.TimeAlgorithm(alg, uint64(r))
-		}
-		seq[r] = time.Since(start).Seconds()
-
-		start = time.Now()
-		e.TimeAlgorithmBatch(alg, count, uint64(r))
-		fused[r] = time.Since(start).Seconds()
-	}
-	seqMed, fusedMed := stats.Median(seq), stats.Median(fused)
-	flops := float64(count) * alg.Flops()
-	res := BatchBenchResult{
-		Expr:         exprName,
-		Inst:         inst.String(),
-		Alg:          alg.Index,
-		Count:        count,
-		Reps:         reps,
-		SeqSeconds:   seqMed,
-		FusedSeconds: fusedMed,
-		SeqGFlops:    flops / seqMed / 1e9,
-		FusedGFlops:  flops / fusedMed / 1e9,
-		SeqQPS:       float64(count) / seqMed,
-		FusedQPS:     float64(count) / fusedMed,
-		Speedup:      seqMed / fusedMed,
-	}
-	for _, w := range parWorkers {
-		blas.SetMaxWorkers(w)
-		e.TimeAlgorithmBatch(alg, count, 0) // warm the worker pool at this cap
-		par := make([]float64, reps)
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			e.TimeAlgorithmBatch(alg, count, uint64(r))
-			par[r] = time.Since(start).Seconds()
-		}
-		med := stats.Median(par)
-		res.ParFused = append(res.ParFused, ParFusedPoint{
-			Workers: w,
-			Seconds: med,
-			GFlops:  flops / med / 1e9,
-			QPS:     float64(count) / med,
-			Speedup: fusedMed / med,
-		})
-		blas.SetMaxWorkers(1)
-	}
-	return res
-}
-
-// RunBatchBench runs the fused-batch comparison grid: every registered
-// expression at uniform instance dimensions 8 through 64, batch width 64
-// (one fused chunk). These are the serving-regime sizes the fused path
-// exists for — small instances whose measurement cost is dominated by
-// per-dispatch overheads rather than kernel arithmetic. Every point also
-// carries parallel-fused measurements at worker caps 1, 2, 4.
-func RunBatchBench(e *Measured, short bool, reps int) []BatchBenchResult {
-	dims, count := []int{8, 16, 32, 64}, 64
-	if short {
-		dims, count = []int{8, 32}, 16
-	}
-	var out []BatchBenchResult
-	for _, name := range expr.Names() {
-		ex, err := expr.Lookup(name)
-		if err != nil {
-			panic(err)
-		}
-		for _, d := range dims {
-			inst := make(expr.Instance, ex.Arity())
-			for i := range inst {
-				inst[i] = d
-			}
-			out = append(out, BenchBatch(e, name, inst, count, reps, benchParWorkers))
-		}
-	}
-	return out
-}
-
 // benchGrid returns the fixed kernel/shape grid: square and skinny GEMMs
 // plus one or two shapes of each remaining kernel, small enough to finish
 // in seconds on the pure-Go backend.
@@ -433,9 +255,8 @@ func benchGrid(short bool) []kernels.Call {
 
 // RunBenchGrid runs the fixed benchmark grid on the measured backend and
 // assembles the report. With algs set, every algorithm of every
-// registered expression is also timed end to end through compiled plans;
-// with batch set, the fused-vs-sequential batch grid runs too.
-func RunBenchGrid(short bool, reps int, algs, batch bool) BenchReport {
+// registered expression is also timed end to end through compiled plans.
+func RunBenchGrid(short bool, reps int, algs bool) BenchReport {
 	e := NewMeasured()
 	rng := xrand.New(0xbe9c4)
 	rep := BenchReport{
@@ -445,17 +266,11 @@ func RunBenchGrid(short bool, reps int, algs, batch bool) BenchReport {
 		PeakGFlops: e.Peak() / 1e9,
 		Meta:       map[string]string{"ncpu": strconv.Itoa(runtime.NumCPU())},
 	}
-	if batch && runtime.NumCPU() == 1 {
-		rep.Meta["batch_note"] = "single-core host: parallel-fused points run the worker tier but cannot beat serial-fused; parity is the expected outcome"
-	}
 	for _, call := range benchGrid(short) {
 		rep.Results = append(rep.Results, BenchCall(call, reps, rng))
 	}
 	if algs {
 		rep.Algorithms = RunAlgBench(e, reps)
-	}
-	if batch {
-		rep.Batches = RunBatchBench(e, short, reps)
 	}
 	return rep
 }

@@ -16,7 +16,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 
 	"lamb/internal/expr"
 	"lamb/internal/kernels"
@@ -47,25 +46,22 @@ type Executor interface {
 	Name() string
 }
 
-// BatchExecutor is implemented by executors that can run an algorithm
-// fused over many same-shape instances (see BatchPlan). The simulated
-// backend does not implement it — its model has no per-dispatch fixed
-// costs to amortise — so callers type-assert and fall back to the
-// per-instance path.
+// BatchExecutor is implemented by executors that can execute an
+// algorithm fused over many instances (see MixedBatchPlan). The
+// simulated backend does not implement it — its model has no
+// per-dispatch fixed costs to amortise — so callers type-assert and
+// fall back to the per-instance path. Fusing is for computing results
+// only: every timed measurement follows the per-instance cold-cache
+// protocol of Timer.
 type BatchExecutor interface {
 	// FuseWidth reports the total number of instances of alg one fused
-	// batch plan may carry (possibly spanning several chunks), or 0 if
-	// the algorithm is outside the fused regime.
+	// batch may carry (possibly spanning several chunks), or 0 if the
+	// algorithm is outside the fused regime.
 	FuseWidth(alg *expr.Algorithm) int
-	// FuseChunk reports the chunk width: how many instances one packed
-	// sweep — and one fused measurement repetition — should execute
-	// together, so the chunk's working set stays within the slab budget.
-	// 0 means out of the fused regime.
+	// FuseChunk reports the chunk width: how many instances one fused
+	// plan should execute together, so the chunk's working set stays
+	// within the slab budget. 0 means out of the fused regime.
 	FuseChunk(alg *expr.Algorithm) int
-	// TimeAlgorithmBatch runs one fused repetition of the algorithm over
-	// count instances after a cache flush and returns per-call times
-	// covering all count instances of each call.
-	TimeAlgorithmBatch(alg *expr.Algorithm, count int, rep uint64) []float64
 }
 
 // Measurement is the result of timing one algorithm with repetitions.
@@ -135,44 +131,6 @@ func (t *Timer) MeasureAlgorithmCtx(ctx context.Context, alg *expr.Algorithm) (M
 		for i, ct := range times {
 			perCall[i][r] = ct
 			sum += ct
-		}
-		totals[r] = sum
-	}
-	m := Measurement{Total: stats.Median(totals), PerCall: make([]float64, len(alg.Calls))}
-	for i := range perCall {
-		m.PerCall[i] = stats.Median(perCall[i])
-	}
-	return m, nil
-}
-
-// MeasureAlgorithmBatchCtx measures the algorithm through the fused
-// batched path: each repetition executes count instances in one fused
-// plan, and the reported measurement is per instance (batch totals
-// divided by count), so it is directly comparable to MeasureAlgorithm.
-// The context is checked between repetitions, like MeasureAlgorithmCtx.
-// The executor must implement BatchExecutor and count must be within
-// its fuse width; callers check FuseWidth first.
-func (t *Timer) MeasureAlgorithmBatchCtx(ctx context.Context, alg *expr.Algorithm, count int) (Measurement, error) {
-	be, ok := t.Exec.(BatchExecutor)
-	if !ok {
-		return Measurement{}, fmt.Errorf("exec: %s cannot execute fused batches", t.Exec.Name())
-	}
-	reps := t.reps()
-	totals := make([]float64, reps)
-	perCall := make([][]float64, len(alg.Calls))
-	for i := range perCall {
-		perCall[i] = make([]float64, reps)
-	}
-	inv := 1 / float64(count)
-	for r := 0; r < reps; r++ {
-		if err := ctx.Err(); err != nil {
-			return Measurement{}, err
-		}
-		times := be.TimeAlgorithmBatch(alg, count, uint64(r))
-		var sum float64
-		for i, ct := range times {
-			perCall[i][r] = ct * inv
-			sum += ct * inv
 		}
 		totals[r] = sum
 	}

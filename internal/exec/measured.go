@@ -147,26 +147,24 @@ func (e *Measured) TimeAlgorithm(alg *expr.Algorithm, rep uint64) []float64 {
 // batchSlabFloats is the fused-batch slab budget in float64s (4 MiB).
 // Fusing exists to amortise fixed per-dispatch costs across instances
 // whose working sets are cache-resident; the budget applies per *chunk*
-// — the contiguous instance range one packed sweep works through — not
-// per batch, so wide batches execute as successive chunks (distributed
-// across workers by the parallel batched drivers) while each chunk's
-// working set stays cache-sized. Instances whose arena cannot fit at
-// least two slabs in the budget are not fused at all.
+// — the contiguous instance range one fused plan executes — not per
+// batch, so wide batches execute as successive chunks while each
+// chunk's working set stays cache-sized. Instances whose arena cannot
+// fit at least two slabs in the budget are not fused at all.
 const batchSlabFloats = (4 << 20) / 8
 
-// maxFusedChunks bounds how many chunk widths one fused batch plan may
-// span: N instances execute as ⌈N/chunk⌉ chunks, so the total fusable
-// width is FuseChunk × maxFusedChunks (up to 512 instances for the
-// smallest strides). The cap keeps one plan's arena bounded (≤ 8 slab
-// budgets) so the batch-plan LRU stays cheap.
+// maxFusedChunks bounds how many chunk widths one fused batch may span:
+// N instances execute as ⌈N/chunk⌉ chunks, so the total fusable width
+// is FuseChunk × maxFusedChunks (up to 512 instances for the smallest
+// strides).
 const maxFusedChunks = 8
 
 // FuseChunk implements BatchExecutor: the chunk width for alg — how
-// many instances one packed sweep (and one fused measurement
-// repetition) should execute together so the chunk's arena fits the
-// slab budget at least twice. 0 means the algorithm is out of the fused
-// regime (instance arena too large — or not compilable, which the
-// caller will surface through the ordinary per-instance path).
+// many instances one fused plan should execute together so the chunk's
+// arena fits the slab budget at least twice. 0 means the algorithm is
+// out of the fused regime (instance arena too large — or not
+// compilable, which the caller will surface through the ordinary
+// per-instance path).
 func (e *Measured) FuseChunk(alg *expr.Algorithm) int {
 	lay, err := compileLayout(alg)
 	if err != nil {
@@ -184,30 +182,14 @@ func (e *Measured) FuseChunk(alg *expr.Algorithm) int {
 }
 
 // FuseWidth implements BatchExecutor: the total number of instances of
-// alg one fused batch plan may carry — the chunk width times the chunk
-// cap. 0 means the algorithm is out of the fused regime.
+// alg one fused batch may carry — the chunk width times the chunk cap.
+// 0 means the algorithm is out of the fused regime.
 func (e *Measured) FuseWidth(alg *expr.Algorithm) int {
 	w := e.FuseChunk(alg)
 	if w == 0 {
 		return 0
 	}
 	return w * maxFusedChunks
-}
-
-// TimeAlgorithmBatch implements BatchExecutor: one fused repetition over
-// count instances — all instances refilled, one cache flush, one fused
-// plan execution. The returned per-call times cover all count instances
-// of each call. After the batch plan is compiled (first repetition),
-// nothing on this path allocates. The returned slice is owned by the
-// executor and reused by the next call.
-func (e *Measured) TimeAlgorithmBatch(alg *expr.Algorithm, count int, rep uint64) []float64 {
-	p, err := e.Plans.BatchPlan(alg, count)
-	if err != nil {
-		panic(fmt.Sprintf("exec: %v", err))
-	}
-	p.FillInputs(e.fillRng)
-	e.flushCache()
-	return p.ExecuteTimed()
 }
 
 // TimeCallCold implements Executor: the call runs through a compiled

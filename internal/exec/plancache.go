@@ -30,38 +30,24 @@ const (
 	// DefaultCallPlanEntries bounds the single-call plan cache (the
 	// profile-measurement and Experiment 3 path).
 	DefaultCallPlanEntries = 8
-	// DefaultBatchPlanEntries bounds the fused batch-plan cache. Batch
-	// plans exist only in the small-instance regime (FuseWidth caps the
-	// slab size), so entries are cheap relative to whole-algorithm plans.
-	DefaultBatchPlanEntries = 8
 )
-
-// batchKey identifies a fused batch plan: the bound algorithm plus the
-// fuse width it was compiled for.
-type batchKey struct {
-	alg   *expr.Algorithm
-	count int
-}
 
 // PlanCache memoises compiled execution plans behind a mutex. It is
 // safe for concurrent use, though the plans it returns are not — the
 // owner serialises execution (Measured always has; the engine holds its
 // execution lock across timing runs).
 type PlanCache struct {
-	mu      sync.Mutex
-	algs    *cache.LRU[*expr.Algorithm, *Plan]
-	calls   *cache.LRU[kernels.Key, *Plan]
-	batches *cache.LRU[batchKey, *BatchPlan]
+	mu    sync.Mutex
+	algs  *cache.LRU[*expr.Algorithm, *Plan]
+	calls *cache.LRU[kernels.Key, *Plan]
 }
 
 // NewPlanCache returns a plan cache bounded to algEntries
-// whole-algorithm plans and callEntries single-call plans (the fused
-// batch-plan cache is bounded to DefaultBatchPlanEntries).
+// whole-algorithm plans and callEntries single-call plans.
 func NewPlanCache(algEntries, callEntries int) *PlanCache {
 	return &PlanCache{
-		algs:    cache.NewLRU[*expr.Algorithm, *Plan](algEntries),
-		calls:   cache.NewLRU[kernels.Key, *Plan](callEntries),
-		batches: cache.NewLRU[batchKey, *BatchPlan](DefaultBatchPlanEntries),
+		algs:  cache.NewLRU[*expr.Algorithm, *Plan](algEntries),
+		calls: cache.NewLRU[kernels.Key, *Plan](callEntries),
 	}
 }
 
@@ -99,33 +85,9 @@ func (c *PlanCache) CallPlan(call kernels.Call) (*Plan, error) {
 	return p, nil
 }
 
-// BatchPlan returns the fused batch plan for (alg, count), compiling on
-// first sight. A hit performs no heap allocations.
-func (c *PlanCache) BatchPlan(alg *expr.Algorithm, count int) (*BatchPlan, error) {
-	key := batchKey{alg: alg, count: count}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p, ok := c.batches.Get(key); ok {
-		return p, nil
-	}
-	p, err := CompileBatchPlan(alg, count)
-	if err != nil {
-		return nil, err
-	}
-	c.batches.Put(key, p)
-	return p, nil
-}
-
 // Stats returns the counters of the algorithm-plan and call-plan LRUs.
 func (c *PlanCache) Stats() (algs, calls cache.Stats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.algs.Stats(), c.calls.Stats()
-}
-
-// BatchStats returns the counters of the fused batch-plan LRU.
-func (c *PlanCache) BatchStats() cache.Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.batches.Stats()
 }

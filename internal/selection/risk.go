@@ -127,6 +127,14 @@ func WinProbabilities(post []AlgPosterior, rng *xrand.Rand, samples int) []float
 	case 1:
 		return []float64{1}
 	case 2:
+		if isPointMass(post[0]) && isPointMass(post[1]) {
+			// Two steps: the lower mean wins outright, and a tie goes to
+			// the lower position, as for larger sets.
+			if post[1].Mean < post[0].Mean {
+				return []float64{0, 1}
+			}
+			return []float64{1, 0}
+		}
 		p := BeatProbability(post[0], post[1])
 		return []float64{p, 1 - p}
 	}

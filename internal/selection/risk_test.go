@@ -136,8 +136,8 @@ func TestWinProbabilitiesSumToOne(t *testing.T) {
 			}
 			sum += p
 		}
-		// DefaultRankSamples is a power of two and n≤2 is closed-form, so
-		// the sum is exact, not approximate.
+		// n ≥ 3 is quantised to multiples of 2⁻³² and n ≤ 2 is
+		// closed-form, so the sum is exact, not approximate.
 		if sum != 1 {
 			t.Fatalf("trial %d (n=%d): probabilities sum to %g", trial, n, sum)
 		}
@@ -277,6 +277,30 @@ func TestWinProbabilitiesMatchReference(t *testing.T) {
 		}
 	}
 	t.Logf("worst absolute error %.2e", worst)
+}
+
+// TestWinProbabilitiesTiedPointMassesGoToLowest pins one tie rule for
+// every set size: spread-free posteriors with equal means are a tie the
+// lowest position wins outright, as in BestIndex, whether the set has
+// two algorithms (the closed form) or more (the quadrature).
+func TestWinProbabilitiesTiedPointMassesGoToLowest(t *testing.T) {
+	for n := 2; n <= 5; n++ {
+		for _, se := range []float64{0, 1e-15} { // none, and below the 1e-12·mean resolution
+			post := make([]AlgPosterior, n)
+			for i := range post {
+				post[i] = AlgPosterior{Algorithm: i + 1, Mean: 2, StdErr: se}
+			}
+			got := WinProbabilities(post, nil, 0)
+			if got[0] != 1 {
+				t.Errorf("n=%d se=%g tied point masses: %v, want all of p_best on position 0", n, se, got)
+			}
+		}
+	}
+	// A strictly faster point mass still wins from any position.
+	got := WinProbabilities([]AlgPosterior{{Algorithm: 1, Mean: 3}, {Algorithm: 2, Mean: 2}}, nil, 0)
+	if got[0] != 0 || got[1] != 1 {
+		t.Errorf("faster point mass in position 1: %v, want [0 1]", got)
+	}
 }
 
 // TestWinProbabilitiesEqualPosteriorsTie: identical posteriors are
