@@ -12,9 +12,9 @@ package main
 // never silently queued. In both modes a 503's Retry-After is honored
 // (sleep, then retry, up to -retry-503 times) instead of hammering a
 // shedding server with an immediate retry storm; shed and retry counts
-// surface in the report. The /api/stats counters are sampled before and
-// after, so the report can attribute throughput to cache layers (hit
-// rates) and to the fused batched path (coalesced / fused counters).
+// surface in the report. The /api/v1/stats counters are sampled before
+// and after, so the report can attribute throughput to cache layers and
+// the fused batched path — or, against a router, to its routing.
 
 import (
 	"bytes"
@@ -36,6 +36,7 @@ import (
 	"lamb/internal/cache"
 	"lamb/internal/engine"
 	"lamb/internal/report"
+	"lamb/internal/router"
 )
 
 // cmdLoadtest drives a running serve instance and reports latency
@@ -45,7 +46,7 @@ func cmdLoadtest(args []string) error {
 	target := fs.String("target", "http://127.0.0.1:8374", "base URL of the running lamb serve")
 	duration := fs.Duration("duration", 5*time.Second, "how long to generate load")
 	concurrency := fs.Int("concurrency", 4, "closed-loop workers, one request in flight each (ignored when -rate > 0)")
-	batch := fs.Int("batch", 0, "queries per request: 0/1 = POST /api/query, >1 = POST /api/batch")
+	batch := fs.Int("batch", 0, "queries per request: 0/1 = POST /api/v1/query, >1 = POST /api/v1/batch")
 	batchMix := fs.Bool("batch-mix", false, "with -batch > 1: sample each query's dimensions within the base instance's power-of-two octave and request computed results, so batches exercise the mixed-shape fused execution path")
 	exprName := fs.String("expr", "aatb", "expression to query")
 	instStr := fs.String("instance", "24,16,8", "instance dimensions, e.g. 24,16,8")
@@ -124,11 +125,11 @@ func cmdLoadtest(args []string) error {
 				req.Queries[i] = queries[(n+i)%len(queries)]
 			}
 			body, _ = json.Marshal(req)
-			return "/api/batch", body
+			return "/api/v1/batch", body
 		}
 		req := queryRequest{Query: queries[n%len(queries)], TimeoutMs: *timeoutMs}
 		body, _ = json.Marshal(req)
-		return "/api/query", body
+		return "/api/v1/query", body
 	}
 
 	var counts loadCounts
@@ -192,8 +193,32 @@ func cmdLoadtest(args []string) error {
 	}
 
 	fmt.Println()
-	d := statsDelta(before, after)
-	rows = [][]string{{"engine layer", "hits", "misses", "hit rate"}}
+	if after.Backends != nil {
+		// A router's stats carry no engine layers: those live on its
+		// backends.
+		err = report.Table(os.Stdout, [][]string{
+			{"router", "count"},
+			{"forwards", fmt.Sprint(after.Forwards - before.Forwards)},
+			{"retries", fmt.Sprint(after.Retries - before.Retries)},
+			{"hedged", fmt.Sprint(after.Hedged - before.Hedged)},
+			{"degraded_queries", fmt.Sprint(after.DegradedQueries - before.DegradedQueries)},
+		})
+	} else {
+		err = printEngineDelta(statsDelta(before.Stats, after.Stats))
+	}
+	if err != nil {
+		return err
+	}
+	if n := counts.errors.Load(); n > 0 {
+		return fmt.Errorf("%d request(s) failed", n)
+	}
+	return nil
+}
+
+// printEngineDelta reports a serve target's per-layer cache hit rates
+// and query-path counters over the run.
+func printEngineDelta(d engine.Stats) error {
+	rows := [][]string{{"engine layer", "hits", "misses", "hit rate"}}
 	for _, l := range []struct {
 		name string
 		s    cache.Stats
@@ -211,9 +236,6 @@ func cmdLoadtest(args []string) error {
 		d.Queries, d.Deduped, d.Coalesced, d.FusedQueries, d.DegradedQueries)
 	fmt.Printf("fuse rejected: too_big_arena %d  unregistered %d  hetero_prepadding %d\n",
 		d.FuseRejected.TooBigArena, d.FuseRejected.Unregistered, d.FuseRejected.HeteroPrepadding)
-	if n := counts.errors.Load(); n > 0 {
-		return fmt.Errorf("%d request(s) failed", n)
-	}
 	return nil
 }
 
@@ -395,19 +417,30 @@ func lookupArity(name string) (int, error) {
 	return ex.Arity(), nil
 }
 
-// fetchStats samples /api/stats into the flattened serve shape.
-func fetchStats(client *http.Client, target string) (engine.Stats, error) {
-	resp, err := client.Get(target + "/api/stats")
+// targetStats is one /api/v1/stats sample of either target: serve's
+// flattened engine counters, or — when Backends is present — a router's
+// counters (degraded_queries lands in the shared engine field).
+type targetStats struct {
+	engine.Stats
+	Backends []router.BackendStats `json:"backends"`
+	Forwards uint64                `json:"forwards"`
+	Retries  uint64                `json:"retries"`
+	Hedged   uint64                `json:"hedged"`
+}
+
+// fetchStats samples /api/v1/stats.
+func fetchStats(client *http.Client, target string) (targetStats, error) {
+	resp, err := client.Get(target + "/api/v1/stats")
 	if err != nil {
-		return engine.Stats{}, err
+		return targetStats{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return engine.Stats{}, fmt.Errorf("GET /api/stats: %s", resp.Status)
+		return targetStats{}, fmt.Errorf("GET /api/v1/stats: %s", resp.Status)
 	}
-	var s engine.Stats
+	var s targetStats
 	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-		return engine.Stats{}, fmt.Errorf("decoding /api/stats: %w", err)
+		return targetStats{}, fmt.Errorf("decoding /api/v1/stats: %w", err)
 	}
 	return s, nil
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -98,7 +100,7 @@ func TestLoadtestHonorsRetryAfter(t *testing.T) {
 	var hits atomic.Uint64
 	var sheds atomic.Uint64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/api/query" && hits.Add(1)%2 == 1 {
+		if r.URL.Path == "/api/v1/query" && hits.Add(1)%2 == 1 {
 			sheds.Add(1)
 			w.Header().Set("Retry-After", "0")
 			http.Error(w, "shedding", http.StatusServiceUnavailable)
@@ -147,5 +149,43 @@ func TestLoadtestBatchMix(t *testing.T) {
 	}
 	if err := cmdLoadtest([]string{"-target", srv.URL, "-batch-mix"}); err == nil {
 		t.Error("-batch-mix without -batch > 1 did not fail")
+	}
+}
+
+// TestLoadtestAgainstRouter points the generator at a router over one
+// serve backend: the router's stats have no engine layers, so the
+// report must show the router's own counter deltas instead of an
+// all-zero engine table.
+func TestLoadtestAgainstRouter(t *testing.T) {
+	backend := httptest.NewServer(serveMux(engine.New(engine.Config{})))
+	defer backend.Close()
+	rt := chaosRouter(t, backend.URL)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	out := stdoutCapture(t)
+	err := cmdLoadtest([]string{
+		"-target", front.URL, "-duration", "150ms", "-concurrency", "1",
+		"-expr", "aatb", "-instance", "16,8,8",
+	})
+	report := string(out())
+	if err != nil {
+		t.Fatalf("cmdLoadtest: %v\n%s", err, report)
+	}
+	forwards := rt.Stats().Forwards
+	if forwards == 0 {
+		t.Fatal("no queries were routed")
+	}
+	if strings.Contains(report, "engine layer") {
+		t.Errorf("router target reported an engine table:\n%s", report)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("forwards          %d\n", forwards),
+		"retries           0\n",
+		"hedged            0\n",
+		"degraded_queries  0\n",
+	} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report lacks %q:\n%s", want, report)
+		}
 	}
 }

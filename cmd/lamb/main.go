@@ -21,7 +21,7 @@
 //	           PROFILE.json that serve/select load with -profile
 //	serve      HTTP JSON selection endpoint over the cached query engine;
 //	           -profile enables min-predicted and adaptive strategies,
-//	           POST /api/feedback records measured outcomes
+//	           POST /api/v1/feedback records measured outcomes
 //	route      fault-tolerant shard router over -backends serve URLs:
 //	           consistent hashing by (expression, shape octave), health
 //	           probes, circuit breakers, retries with backoff, optional
@@ -124,7 +124,7 @@ subcommands:
              -profile loads a persisted profile store)
   profile    measure the kernel grid once, write PROFILE.json
   serve      HTTP JSON selection endpoint over the query engine
-             (-profile serves min-predicted/adaptive, /api/feedback
+             (-profile serves min-predicted/adaptive, /api/v1/feedback
              records outcomes)
   route      shard router over -backends serve URLs: consistent
              hashing, health probes, breakers, retries, hedging, and

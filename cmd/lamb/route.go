@@ -29,7 +29,7 @@ import (
 // strengthens selection fleet-wide.
 //
 // The HTTP surface mirrors serve (query/batch/feedback/expressions)
-// plus the router's own /healthz and /api/stats (backend up/down and
+// plus the router's own /healthz and /api/v1/stats (backend up/down and
 // breaker state, retry/hedge/degradation/gossip counters).
 func cmdRoute(args []string) error {
 	fs := flag.NewFlagSet("route", flag.ExitOnError)
@@ -86,12 +86,7 @@ func cmdRoute(args []string) error {
 	rt.Start()
 	defer rt.Close()
 
-	srv := &http.Server{
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	srv := newHTTPServer(rt.Handler())
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -18,6 +17,7 @@ import (
 
 	"lamb/internal/engine"
 	"lamb/internal/faultinject"
+	"lamb/internal/httpjson"
 	"lamb/internal/mat"
 	"lamb/internal/outcomes"
 )
@@ -27,13 +27,12 @@ import (
 // engine.Do pipeline the CLI uses, so `lamb select -json` and a curl
 // against /api/v1/query emit identical records.
 //
-// The API is versioned: /api/v1/ is the documented, stable surface.
-// Every endpoint also answers under the original /api/ prefix as a
-// deprecated alias returning the identical body plus a "Deprecation"
-// header and a "Link" header naming the successor path, so existing
-// clients keep working while new ones pin the version.
+// Every API endpoint lives under /api/v1/, the one versioned surface;
+// the request/response plumbing (body cap, JSON and error replies,
+// timeout_ms, error statuses, batch cap) is internal/httpjson, shared
+// with `lamb route`.
 //
-// Endpoints (v1):
+// Endpoints:
 //
 //	GET  /healthz              liveness + readiness: 200 when serving,
 //	                           503 with a reason while a reload is
@@ -116,16 +115,7 @@ func cmdServe(args []string) error {
 		}
 	}
 
-	srv := &http.Server{
-		Handler:           s.handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		// Bounds the whole request read (headers + body), so a client
-		// cannot pin a goroutine by trickling a body forever. Responses
-		// are not bounded: a blas-backend oracle query legitimately
-		// measures for a while.
-		ReadTimeout: 30 * time.Second,
-		IdleTimeout: 2 * time.Minute,
-	}
+	srv := newHTTPServer(s.handler())
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -203,15 +193,25 @@ func cmdServe(args []string) error {
 	}
 }
 
+// newHTTPServer wraps a handler in the connection timeouts serve and
+// route share.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		// Bounds the whole request read (headers + body), so a client
+		// cannot pin a goroutine by trickling a body forever. Responses
+		// are not bounded: a blas-backend oracle query legitimately
+		// measures for a while.
+		ReadTimeout: 30 * time.Second,
+		IdleTimeout: 2 * time.Minute,
+	}
+}
+
 // defaultMaxInflight bounds concurrent query/batch requests: enough for
 // real concurrency over the in-process engine, small enough that a
 // traffic spike sheds with 503 instead of queueing into timeouts.
 const defaultMaxInflight = 64
-
-// maxBatchQueries caps one /api/batch request. A larger workload splits
-// into multiple batches; an unbounded one would let a single request
-// monopolise the engine and defeat the in-flight admission bound.
-const maxBatchQueries = 1024
 
 // serveOptions parameterise the HTTP layer (not the engine).
 type serveOptions struct {
@@ -239,7 +239,7 @@ type server struct {
 	// swap is in progress.
 	reloadMu  sync.Mutex
 	reloading atomic.Bool
-	// Operational counters, surfaced under "server" in /api/stats.
+	// Operational counters, surfaced under "server" in /api/v1/stats.
 	shed       atomic.Uint64
 	panics     atomic.Uint64
 	snapWrites atomic.Uint64
@@ -262,7 +262,7 @@ func serveMux(eng *engine.Engine) http.Handler {
 }
 
 // serverStats are the HTTP layer's own counters, reported alongside the
-// engine's under "server" in /api/stats.
+// engine's under "server" in /api/v1/stats.
 type serverStats struct {
 	// Shed counts requests rejected with 503 by the in-flight limit;
 	// Panics counts handler panics recovered into 500s.
@@ -276,15 +276,15 @@ type serverStats struct {
 	Outcomes       string `json:"outcomes,omitempty"`
 }
 
-// serveStats is the /api/stats body: the engine's counters flattened at
-// the top level (so jq paths like .queries keep working) plus the
-// server block.
+// serveStats is the /api/v1/stats body: the engine's counters
+// flattened at the top level (so jq paths like .queries keep working)
+// plus the server block.
 type serveStats struct {
 	engine.Stats
 	Server serverStats `json:"server"`
 }
 
-// queryRequest is the /api/query body: an engine.Query plus the
+// queryRequest is the /api/v1/query body: an engine.Query plus the
 // optional per-request deadline.
 type queryRequest struct {
 	engine.Query
@@ -294,7 +294,7 @@ type queryRequest struct {
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 }
 
-// batchRequest is the /api/batch request body.
+// batchRequest is the /api/v1/batch request body.
 type batchRequest struct {
 	Queries   []engine.Query `json:"queries"`
 	TimeoutMs int            `json:"timeout_ms,omitempty"`
@@ -316,35 +316,29 @@ type batchResult struct {
 	Checksum float64 `json:"checksum"`
 }
 
-// batchItem is one /api/batch result: a record (plus, with "compute", a
-// result block) or an error.
+// batchItem is one /api/v1/batch result: a record (plus, with
+// "compute", a result block) or an error.
 type batchItem struct {
 	*engine.Record
 	Result *batchResult `json:"result,omitempty"`
 	Error  string       `json:"error,omitempty"`
 }
 
-// batchResponse is the /api/batch response body.
+// batchResponse is the /api/v1/batch response body.
 type batchResponse struct {
 	Results []batchItem `json:"results"`
 }
 
 // handler assembles the route table behind the panic-recovery
-// middleware: every endpoint under the versioned /api/v1/ prefix (the
-// documented surface) and under the legacy /api/ prefix as a deprecated
-// alias serving the identical body with deprecation headers.
+// middleware.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	api := func(method, path string, h http.HandlerFunc) {
-		mux.HandleFunc(method+" /api/v1"+path, h)
-		mux.HandleFunc(method+" /api"+path, deprecatedAlias(path, h))
-	}
-	api("GET", "/expressions", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.eng.ListExpressions())
+	mux.HandleFunc("GET /api/v1/expressions", func(w http.ResponseWriter, r *http.Request) {
+		httpjson.Write(w, http.StatusOK, s.eng.ListExpressions())
 	})
-	api("GET", "/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, serveStats{
+	mux.HandleFunc("GET /api/v1/stats", func(w http.ResponseWriter, r *http.Request) {
+		httpjson.Write(w, http.StatusOK, serveStats{
 			Stats: s.eng.Stats(),
 			Server: serverStats{
 				Shed:           s.shed.Load(),
@@ -356,24 +350,13 @@ func (s *server) handler() http.Handler {
 			},
 		})
 	})
-	api("GET", "/outcomes", s.handleOutcomes)
-	api("POST", "/query", s.handleQuery)
-	api("POST", "/batch", s.handleBatch)
-	api("POST", "/feedback", s.handleFeedback)
-	api("POST", "/admin/reload", s.handleReload)
-	api("POST", "/admin/merge", s.handleMerge)
+	mux.HandleFunc("GET /api/v1/outcomes", s.handleOutcomes)
+	mux.HandleFunc("POST /api/v1/query", s.handleQuery)
+	mux.HandleFunc("POST /api/v1/batch", s.handleBatch)
+	mux.HandleFunc("POST /api/v1/feedback", s.handleFeedback)
+	mux.HandleFunc("POST /api/v1/admin/reload", s.handleReload)
+	mux.HandleFunc("POST /api/v1/admin/merge", s.handleMerge)
 	return s.recoverPanics(mux)
-}
-
-// deprecatedAlias wraps a handler for the legacy unversioned route:
-// the same body, plus RFC 8594-style headers steering clients to the
-// versioned successor.
-func deprecatedAlias(path string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</api/v1`+path+`>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // recoverPanics turns a handler panic into a 500 and a counter instead
@@ -387,7 +370,7 @@ func (s *server) recoverPanics(next http.Handler) http.Handler {
 				fmt.Fprintf(os.Stderr, "lamb serve: panic in %s %s: %v\n", r.Method, r.URL.Path, v)
 				// If the handler already wrote headers this is a no-op
 				// on the status, but the connection still closes cleanly.
-				writeError(w, http.StatusInternalServerError, errors.New("internal error"))
+				httpjson.Error(w, http.StatusInternalServerError, errors.New("internal error"))
 			}
 		}()
 		next.ServeHTTP(w, r)
@@ -415,7 +398,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !h.Ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, h)
+	httpjson.Write(w, status, h)
 }
 
 // admit reserves an in-flight slot, shedding with 503 + Retry-After
@@ -431,39 +414,14 @@ func (s *server) admit(w http.ResponseWriter) (release func(), ok bool) {
 	default:
 		s.shed.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, errors.New("server saturated: try again"))
+		httpjson.Error(w, http.StatusServiceUnavailable, errors.New("server saturated: try again"))
 		return nil, false
 	}
 }
 
-// requestCtx derives the query context: the request's own context
-// (cancelled when the client disconnects) bounded by timeout_ms or the
-// server default.
-func (s *server) requestCtx(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
-	d := s.opts.Deadline
-	if timeoutMs > 0 {
-		d = time.Duration(timeoutMs) * time.Millisecond
-	}
-	if d > 0 {
-		return context.WithTimeout(r.Context(), d)
-	}
-	return r.Context(), func() {}
-}
-
-// writeEngineError maps an engine error to its status: deadline and
-// cancellation are 504 (the request ran out of time, not a bad
-// request), everything else is the caller's 400.
-func writeEngineError(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		writeError(w, http.StatusGatewayTimeout, err)
-		return
-	}
-	writeError(w, http.StatusBadRequest, err)
-}
-
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q queryRequest
-	if err := decodeJSON(w, r, &q); err != nil {
+	if !httpjson.Decode(w, r, &q) {
 		return
 	}
 	release, ok := s.admit(w)
@@ -471,30 +429,25 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	ctx, cancel := s.requestCtx(r, q.TimeoutMs)
+	ctx, cancel := httpjson.Context(r, q.TimeoutMs, s.opts.Deadline)
 	defer cancel()
 	// Chaos hook: the suite arms "serve.query" to panic or fail inside
 	// the handler, behind the recovery middleware.
 	if err := faultinject.FireCtx(ctx, "serve.query"); err != nil {
-		writeEngineError(w, err)
+		httpjson.EngineError(w, err)
 		return
 	}
 	res := s.eng.Do(ctx, engine.Request{Queries: []engine.Query{q.Query}})
 	if res[0].Err != nil {
-		writeEngineError(w, res[0].Err)
+		httpjson.EngineError(w, res[0].Err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res[0].Record)
+	httpjson.Write(w, http.StatusOK, res[0].Record)
 }
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		return
-	}
-	if len(req.Queries) > maxBatchQueries {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d queries exceeds the %d-query limit; split it", len(req.Queries), maxBatchQueries))
+	if !httpjson.Decode(w, r, &req) || !httpjson.CheckBatch(w, len(req.Queries)) {
 		return
 	}
 	release, ok := s.admit(w)
@@ -502,7 +455,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
+	ctx, cancel := httpjson.Context(r, req.TimeoutMs, s.opts.Deadline)
 	defer cancel()
 	results := s.eng.Do(ctx, engine.Request{Queries: req.Queries, Compute: req.Compute})
 	resp := batchResponse{Results: make([]batchItem, len(results))}
@@ -523,7 +476,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i] = batchItem{Record: res.Record}
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpjson.Write(w, http.StatusOK, resp)
 }
 
 // denseChecksum sums a matrix's elements (stride-aware).
@@ -540,14 +493,14 @@ func denseChecksum(d *mat.Dense) float64 {
 
 func (s *server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var fb engine.Feedback
-	if err := decodeJSON(w, r, &fb); err != nil {
+	if !httpjson.Decode(w, r, &fb) {
 		return
 	}
 	if err := s.eng.Feedback(fb); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		httpjson.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	httpjson.Write(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
 // handleOutcomes exports this process's firsthand feedback as a
@@ -556,7 +509,7 @@ func (s *server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 // Only local evidence is exported: merged peer evidence stays out of
 // the feed so gossip cannot echo it around the fleet.
 func (s *server) handleOutcomes(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.eng.SnapshotLocalOutcomes())
+	httpjson.Write(w, http.StatusOK, s.eng.SnapshotLocalOutcomes())
 }
 
 // handleMerge installs a peer's outcome snapshot as evidence attributed
@@ -567,36 +520,31 @@ func (s *server) handleOutcomes(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	source := r.URL.Query().Get("source")
 	if source == "" {
-		writeError(w, http.StatusBadRequest, errors.New("merge requires ?source=<peer identity>"))
+		httpjson.Error(w, http.StatusBadRequest, errors.New("merge requires ?source=<peer identity>"))
 		return
 	}
 	scale := 1.0
 	if raw := r.URL.Query().Get("scale"); raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)
 		if err != nil || !(v > 0 && v <= 1) {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("scale %q must be a number in (0, 1]", raw))
+			httpjson.Error(w, http.StatusBadRequest, fmt.Errorf("scale %q must be a number in (0, 1]", raw))
 			return
 		}
 		scale = v
 	}
-	snap, err := outcomes.DecodeSnapshot(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	snap, err := outcomes.DecodeSnapshot(httpjson.Body(w, r))
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad snapshot: %w", err))
+		httpjson.BadBody(w, fmt.Errorf("bad snapshot: %w", err))
 		return
 	}
 	// Chaos hook: the suite arms "serve.merge" to fail the install and
 	// assert gossip errors stay contained.
 	if err := faultinject.Fire("serve.merge"); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		httpjson.Error(w, http.StatusInternalServerError, err)
 		return
 	}
 	merged, skipped := s.eng.MergeOutcomes(source, snap, scale)
-	writeJSON(w, http.StatusOK, map[string]int{"merged": merged, "skipped": skipped})
+	httpjson.Write(w, http.StatusOK, map[string]int{"merged": merged, "skipped": skipped})
 }
 
 // handleReload re-reads the -profile store and swaps it in atomically;
@@ -605,10 +553,10 @@ func (s *server) handleMerge(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	gen, id, err := s.reloadProfiles()
 	if err != nil {
-		writeError(w, http.StatusConflict, err)
+		httpjson.Error(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "profile": id, "generation": gen})
+	httpjson.Write(w, http.StatusOK, map[string]any{"ok": true, "profile": id, "generation": gen})
 }
 
 // reloadProfiles is the shared SIGHUP / admin-endpoint implementation:
@@ -661,69 +609,4 @@ func (s *server) snapshotOutcomes() error {
 	}
 	s.snapWrites.Add(1)
 	return nil
-}
-
-// maxBodyBytes caps request bodies: queries are a few hundred bytes,
-// batches a few thousand per entry — 4 MiB is orders of magnitude of
-// headroom while keeping a hostile body from buffering unbounded.
-const maxBodyBytes = 4 << 20
-
-// decodeJSON parses the size-capped request body into v, replying 400
-// (or 413 for an oversized body) on failure.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-			return err
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return err
-	}
-	return nil
-}
-
-// encodeLog rate-limits response-encoding failure logs: encoding
-// typically fails because the client went away mid-write, and a
-// disconnect storm must not turn into a log storm.
-var encodeLog struct {
-	mu      sync.Mutex
-	last    time.Time
-	dropped uint64
-}
-
-func logEncodeError(err error) {
-	encodeLog.mu.Lock()
-	defer encodeLog.mu.Unlock()
-	now := time.Now()
-	if now.Sub(encodeLog.last) < time.Second {
-		encodeLog.dropped++
-		return
-	}
-	suffix := ""
-	if encodeLog.dropped > 0 {
-		suffix = fmt.Sprintf(" (%d similar errors suppressed)", encodeLog.dropped)
-		encodeLog.dropped = 0
-	}
-	encodeLog.last = now
-	fmt.Fprintf(os.Stderr, "lamb serve: response encoding failed: %v%s\n", err, suffix)
-}
-
-// writeJSON replies with a JSON body and status. Bodies are compact —
-// records on the hot query/batch path do not pay for indentation —
-// and encoding failures (usually a disconnected client) are logged
-// rate-limited, never silently swallowed.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		logEncodeError(err)
-	}
-}
-
-// writeError replies with {"error": ...}.
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

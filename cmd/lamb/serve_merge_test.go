@@ -12,15 +12,15 @@ import (
 )
 
 // TestServeOutcomesExportAndMerge drives the cross-process gossip loop
-// over HTTP: feedback on backend A, GET /api/outcomes from A, POST it
-// to B's /api/admin/merge, and B's adaptive selection flips to what A
+// over HTTP: feedback on backend A, GET /api/v1/outcomes from A, POST it
+// to B's /api/v1/admin/merge, and B's adaptive selection flips to what A
 // learned. Re-posting is idempotent.
 func TestServeOutcomesExportAndMerge(t *testing.T) {
 	srvA, _ := newProfiledTestServer(t)
 	srvB, engB := newProfiledTestServer(t)
 	q := engine.Query{Expr: "aatb", Instance: []int{80, 514, 768}, Strategy: "adaptive"}
 
-	resp, body := postJSON(t, srvB.URL+"/api/query", q)
+	resp, body := postJSON(t, srvB.URL+"/api/v1/query", q)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("baseline query status %d: %s", resp.StatusCode, body)
 	}
@@ -37,13 +37,13 @@ func TestServeOutcomesExportAndMerge(t *testing.T) {
 				sec = 10.0
 			}
 			fb := engine.Feedback{Expr: "aatb", Instance: []int{80, 514, 768}, Algorithm: alg, Seconds: sec}
-			if resp, body := postJSON(t, srvA.URL+"/api/feedback", fb); resp.StatusCode != http.StatusOK {
+			if resp, body := postJSON(t, srvA.URL+"/api/v1/feedback", fb); resp.StatusCode != http.StatusOK {
 				t.Fatalf("feedback status %d: %s", resp.StatusCode, body)
 			}
 		}
 	}
 
-	resp, err := http.Get(srvA.URL + "/api/outcomes")
+	resp, err := http.Get(srvA.URL + "/api/v1/outcomes")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestServeOutcomesExportAndMerge(t *testing.T) {
 		out.ReadFrom(resp.Body)
 		return resp.StatusCode, out.String()
 	}
-	status, body2 := post(srvB.URL + "/api/admin/merge?source=" + srvA.URL + "&scale=0.5")
+	status, body2 := post(srvB.URL + "/api/v1/admin/merge?source=" + srvA.URL + "&scale=0.5")
 	if status != http.StatusOK {
 		t.Fatalf("merge status %d: %s", status, body2)
 	}
@@ -87,7 +87,7 @@ func TestServeOutcomesExportAndMerge(t *testing.T) {
 		t.Fatalf("merge counts %v, want merged=%d", counts, base.NumAlgorithms)
 	}
 
-	resp, body = postJSON(t, srvB.URL+"/api/query", q)
+	resp, body = postJSON(t, srvB.URL+"/api/v1/query", q)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-merge query status %d: %s", resp.StatusCode, body)
 	}
@@ -100,13 +100,13 @@ func TestServeOutcomesExportAndMerge(t *testing.T) {
 	}
 
 	// Idempotency: the retry changes nothing but the request counter.
-	post(srvB.URL + "/api/admin/merge?source=" + srvA.URL + "&scale=0.5")
+	post(srvB.URL + "/api/v1/admin/merge?source=" + srvA.URL + "&scale=0.5")
 	s := engB.Stats()
 	if s.MergeRequests != 2 || s.MergedOutcomes != uint64(2*base.NumAlgorithms) {
 		t.Fatalf("merge counters %+v", s)
 	}
 	// B's own export must not re-offer A's evidence (anti-echo).
-	resp, err = http.Get(srvB.URL + "/api/outcomes")
+	resp, err = http.Get(srvB.URL + "/api/v1/outcomes")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +129,12 @@ func TestServeMergeRejectsBadRequests(t *testing.T) {
 	cases := []struct {
 		name, url, body string
 	}{
-		{"no source", "/api/admin/merge", good},
-		{"zero scale", "/api/admin/merge?source=x&scale=0", good},
-		{"big scale", "/api/admin/merge?source=x&scale=1.5", good},
-		{"nan scale", "/api/admin/merge?source=x&scale=nan", good},
-		{"garbage body", "/api/admin/merge?source=x", "{nope"},
-		{"wrong schema", "/api/admin/merge?source=x", `{"schema_version":99,"created_unix":1,"records":[]}`},
+		{"no source", "/api/v1/admin/merge", good},
+		{"zero scale", "/api/v1/admin/merge?source=x&scale=0", good},
+		{"big scale", "/api/v1/admin/merge?source=x&scale=1.5", good},
+		{"nan scale", "/api/v1/admin/merge?source=x&scale=nan", good},
+		{"garbage body", "/api/v1/admin/merge?source=x", "{nope"},
+		{"wrong schema", "/api/v1/admin/merge?source=x", `{"schema_version":99,"created_unix":1,"records":[]}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(srv.URL+tc.url, "application/json", strings.NewReader(tc.body))

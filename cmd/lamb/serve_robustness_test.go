@@ -17,6 +17,7 @@ import (
 	"lamb/internal/exec"
 	"lamb/internal/expr"
 	"lamb/internal/faultinject"
+	"lamb/internal/httpjson"
 	"lamb/internal/kernels"
 	"lamb/internal/profile"
 )
@@ -94,7 +95,7 @@ func TestServeHealthzReadyStates(t *testing.T) {
 // TestServeShedsWhenSaturated is the admission-control acceptance pin:
 // with the in-flight limit reached, the next query is rejected within
 // 100ms with 503 + Retry-After instead of queueing, and the shed is
-// counted in /api/stats.
+// counted in /api/v1/stats.
 func TestServeShedsWhenSaturated(t *testing.T) {
 	if err := faultinject.Arm("engine.query", "sleep:500ms"); err != nil {
 		t.Fatal(err)
@@ -108,7 +109,7 @@ func TestServeShedsWhenSaturated(t *testing.T) {
 	slow := make(chan struct{})
 	go func() {
 		defer close(slow)
-		resp, _, err := postJSONRaw(srv.URL+"/api/query", engine.Query{Expr: "aatb", Instance: []int{10, 20, 30}})
+		resp, _, err := postJSONRaw(srv.URL+"/api/v1/query", engine.Query{Expr: "aatb", Instance: []int{10, 20, 30}})
 		if err == nil && resp.StatusCode != http.StatusOK {
 			t.Errorf("slow query status %d", resp.StatusCode)
 		}
@@ -121,7 +122,7 @@ func TestServeShedsWhenSaturated(t *testing.T) {
 	}
 
 	start := time.Now()
-	resp, body := postJSON(t, srv.URL+"/api/query", engine.Query{Expr: "aatb", Instance: []int{11, 21, 31}})
+	resp, body := postJSON(t, srv.URL+"/api/v1/query", engine.Query{Expr: "aatb", Instance: []int{11, 21, 31}})
 	elapsed := time.Since(start)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("saturated query status %d: %s", resp.StatusCode, body)
@@ -133,7 +134,7 @@ func TestServeShedsWhenSaturated(t *testing.T) {
 		t.Fatalf("shed took %v, want under 100ms", elapsed)
 	}
 	var stats serveStats
-	getJSON(t, srv.URL+"/api/stats", &stats)
+	getJSON(t, srv.URL+"/api/v1/stats", &stats)
 	if stats.Server.Shed != 1 || stats.Server.MaxInflight != 1 {
 		t.Fatalf("server stats %+v", stats.Server)
 	}
@@ -151,7 +152,7 @@ func TestServeQueryDeadline504(t *testing.T) {
 	srv := newTestServer(t)
 
 	start := time.Now()
-	resp, body := postJSON(t, srv.URL+"/api/query", map[string]any{
+	resp, body := postJSON(t, srv.URL+"/api/v1/query", map[string]any{
 		"expr": "aatb", "instance": []int{10, 20, 30}, "timeout_ms": 20,
 	})
 	elapsed := time.Since(start)
@@ -193,7 +194,7 @@ func TestServeDeadlineDegradesOracle(t *testing.T) {
 		Reps:     3,
 	}), serveOptions{}).handler())
 	t.Cleanup(srv.Close)
-	resp, body := postJSON(t, srv.URL+"/api/query", map[string]any{
+	resp, body := postJSON(t, srv.URL+"/api/v1/query", map[string]any{
 		"expr": "aatb", "instance": []int{10, 20, 30}, "strategy": "oracle", "timeout_ms": 15,
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -207,7 +208,7 @@ func TestServeDeadlineDegradesOracle(t *testing.T) {
 		t.Fatalf("record not degraded: %+v", rec)
 	}
 	var stats serveStats
-	getJSON(t, srv.URL+"/api/stats", &stats)
+	getJSON(t, srv.URL+"/api/v1/stats", &stats)
 	if stats.DegradedQueries != 1 {
 		t.Fatalf("degraded_queries %d", stats.DegradedQueries)
 	}
@@ -222,17 +223,17 @@ func TestServePanicRecovered(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	srv := newTestServer(t)
 
-	resp, body := postJSON(t, srv.URL+"/api/query", engine.Query{Expr: "aatb", Instance: []int{10, 20, 30}})
+	resp, body := postJSON(t, srv.URL+"/api/v1/query", engine.Query{Expr: "aatb", Instance: []int{10, 20, 30}})
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("panicking query status %d: %s", resp.StatusCode, body)
 	}
 	faultinject.Reset()
-	resp, body = postJSON(t, srv.URL+"/api/query", engine.Query{Expr: "aatb", Instance: []int{10, 20, 30}})
+	resp, body = postJSON(t, srv.URL+"/api/v1/query", engine.Query{Expr: "aatb", Instance: []int{10, 20, 30}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("server did not survive the panic: %d %s", resp.StatusCode, body)
 	}
 	var stats serveStats
-	getJSON(t, srv.URL+"/api/stats", &stats)
+	getJSON(t, srv.URL+"/api/v1/stats", &stats)
 	if stats.Server.Panics != 1 {
 		t.Fatalf("panics counter %d", stats.Server.Panics)
 	}
@@ -242,11 +243,11 @@ func TestServePanicRecovered(t *testing.T) {
 // 400 before any query runs.
 func TestServeBatchCapped(t *testing.T) {
 	srv := newTestServer(t)
-	req := batchRequest{Queries: make([]engine.Query, maxBatchQueries+1)}
+	req := batchRequest{Queries: make([]engine.Query, httpjson.MaxBatchQueries+1)}
 	for i := range req.Queries {
 		req.Queries[i] = engine.Query{Expr: "aatb", Instance: []int{10, 20, 30}}
 	}
-	resp, body := postJSON(t, srv.URL+"/api/batch", req)
+	resp, body := postJSON(t, srv.URL+"/api/v1/batch", req)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized batch status %d", resp.StatusCode)
 	}
@@ -255,13 +256,13 @@ func TestServeBatchCapped(t *testing.T) {
 		t.Fatalf("error body %s", body)
 	}
 	var stats serveStats
-	getJSON(t, srv.URL+"/api/stats", &stats)
+	getJSON(t, srv.URL+"/api/v1/stats", &stats)
 	if stats.Queries != 0 {
 		t.Fatalf("rejected batch ran %d queries", stats.Queries)
 	}
 	// A batch within the limit runs.
 	req.Queries = req.Queries[:2]
-	if resp, body := postJSON(t, srv.URL+"/api/batch", req); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, srv.URL+"/api/v1/batch", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("small batch status %d: %s", resp.StatusCode, body)
 	}
 }
@@ -270,7 +271,7 @@ func TestServeBatchCapped(t *testing.T) {
 // min-predicted without a store answers 200 with the record stamped.
 func TestServeDegradedWithoutProfiles(t *testing.T) {
 	srv := newTestServer(t)
-	resp, body := postJSON(t, srv.URL+"/api/query", engine.Query{
+	resp, body := postJSON(t, srv.URL+"/api/v1/query", engine.Query{
 		Expr: "aatb", Instance: []int{80, 514, 768}, Strategy: "min-predicted",
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -284,7 +285,7 @@ func TestServeDegradedWithoutProfiles(t *testing.T) {
 		t.Fatalf("record %+v", rec)
 	}
 	var stats serveStats
-	getJSON(t, srv.URL+"/api/stats", &stats)
+	getJSON(t, srv.URL+"/api/v1/stats", &stats)
 	if stats.DegradedQueries != 1 {
 		t.Fatalf("degraded_queries %d", stats.DegradedQueries)
 	}
@@ -324,7 +325,7 @@ func TestServeAdminReload(t *testing.T) {
 		Profile    string `json:"profile"`
 		Generation uint64 `json:"generation"`
 	}
-	resp, body := postJSON(t, srv.URL+"/api/admin/reload", struct{}{})
+	resp, body := postJSON(t, srv.URL+"/api/v1/admin/reload", struct{}{})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload status %d: %s", resp.StatusCode, body)
 	}
@@ -335,14 +336,14 @@ func TestServeAdminReload(t *testing.T) {
 		t.Fatalf("reload response %+v", out)
 	}
 	var stats serveStats
-	getJSON(t, srv.URL+"/api/stats", &stats)
+	getJSON(t, srv.URL+"/api/v1/stats", &stats)
 	if stats.Profile == nil || stats.Profile.Generation != 2 {
 		t.Fatalf("stats profile %+v", stats.Profile)
 	}
 
 	// Without -profile there is nothing to reload.
 	bare := newTestServer(t)
-	if resp, _ := postJSON(t, bare.URL+"/api/admin/reload", struct{}{}); resp.StatusCode != http.StatusConflict {
+	if resp, _ := postJSON(t, bare.URL+"/api/v1/admin/reload", struct{}{}); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("profile-less reload status %d", resp.StatusCode)
 	}
 }
@@ -365,7 +366,7 @@ func TestServeShutdownDrainsInflight(t *testing.T) {
 	}
 	resc := make(chan result, 1)
 	go func() {
-		resp, _, err := postJSONRaw(srv.URL+"/api/query", engine.Query{Expr: "aatb", Instance: []int{10, 20, 30}})
+		resp, _, err := postJSONRaw(srv.URL+"/api/v1/query", engine.Query{Expr: "aatb", Instance: []int{10, 20, 30}})
 		if err != nil {
 			resc <- result{0, err}
 			return
@@ -396,7 +397,7 @@ func TestServeShutdownDrainsInflight(t *testing.T) {
 func TestServeBootRestoreOutcomes(t *testing.T) {
 	srv, eng := newProfiledTestServer(t)
 	for alg := 1; alg <= 2; alg++ {
-		resp, out := postJSON(t, srv.URL+"/api/feedback", engine.Feedback{
+		resp, out := postJSON(t, srv.URL+"/api/v1/feedback", engine.Feedback{
 			Expr: "aatb", Instance: []int{80, 514, 768}, Algorithm: alg, Seconds: 1e-3,
 		})
 		if resp.StatusCode != http.StatusOK {
@@ -459,7 +460,7 @@ func TestServeReloadRaceUnderTraffic(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				resp, body, err := postJSONRaw(srv.URL+"/api/query", engine.Query{
+				resp, body, err := postJSONRaw(srv.URL+"/api/v1/query", engine.Query{
 					Expr: "aatb", Instance: []int{20 + w, 30 + i, 40}, Strategy: "min-predicted",
 				})
 				if err != nil {
@@ -477,7 +478,7 @@ func TestServeReloadRaceUnderTraffic(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < reloads; i++ {
-			resp, body, err := postJSONRaw(srv.URL+"/api/admin/reload", struct{}{})
+			resp, body, err := postJSONRaw(srv.URL+"/api/v1/admin/reload", struct{}{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -490,7 +491,7 @@ func TestServeReloadRaceUnderTraffic(t *testing.T) {
 	}()
 	wg.Wait()
 	var stats serveStats
-	getJSON(t, srv.URL+"/api/stats", &stats)
+	getJSON(t, srv.URL+"/api/v1/stats", &stats)
 	if stats.Profile == nil || stats.Profile.Generation != reloads+1 {
 		t.Fatalf("generation %+v, want %d", stats.Profile, reloads+1)
 	}

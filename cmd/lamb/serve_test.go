@@ -53,7 +53,7 @@ func TestServeHealthAndExpressions(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
-	resp, err = http.Get(srv.URL + "/api/expressions")
+	resp, err = http.Get(srv.URL + "/api/v1/expressions")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestServeHealthAndExpressions(t *testing.T) {
 
 func TestServeQueryRecord(t *testing.T) {
 	srv := newTestServer(t)
-	resp, body := postJSON(t, srv.URL+"/api/query", engine.Query{
+	resp, body := postJSON(t, srv.URL+"/api/v1/query", engine.Query{
 		Expr: "aatb", Instance: []int{80, 514, 768},
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -106,7 +106,7 @@ func TestServeQueryErrors(t *testing.T) {
 		"bad strategy":       engine.Query{Expr: "aatb", Instance: []int{2, 3, 4}, Strategy: "magic"},
 		"unknown field":      map[string]any{"exprs": "aatb"},
 	} {
-		resp, out := postJSON(t, srv.URL+"/api/query", body)
+		resp, out := postJSON(t, srv.URL+"/api/v1/query", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s)", name, resp.StatusCode, out)
 		}
@@ -137,7 +137,7 @@ func TestServeBatchConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			buf, _ := json.Marshal(req)
-			resp, err := http.Post(srv.URL+"/api/batch", "application/json", bytes.NewReader(buf))
+			resp, err := http.Post(srv.URL+"/api/v1/batch", "application/json", bytes.NewReader(buf))
 			if err != nil {
 				t.Error(err)
 				return
@@ -179,11 +179,11 @@ func TestServeStatsReflectCaches(t *testing.T) {
 	srv := newTestServer(t)
 	q := engine.Query{Expr: "chain", Instance: []int{3, 5, 7, 11, 13}}
 	for i := 0; i < 3; i++ {
-		if resp, body := postJSON(t, srv.URL+"/api/query", q); resp.StatusCode != http.StatusOK {
+		if resp, body := postJSON(t, srv.URL+"/api/v1/query", q); resp.StatusCode != http.StatusOK {
 			t.Fatalf("query %d: %s", i, body)
 		}
 	}
-	resp, err := http.Get(srv.URL + "/api/stats")
+	resp, err := http.Get(srv.URL + "/api/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,13 +205,13 @@ func TestServeStatsReflectCaches(t *testing.T) {
 
 func TestServeMethodNotAllowed(t *testing.T) {
 	srv := newTestServer(t)
-	resp, err := http.Get(srv.URL + "/api/query")
+	resp, err := http.Get(srv.URL + "/api/v1/query")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /api/query status %d", resp.StatusCode)
+		t.Fatalf("GET /api/v1/query status %d", resp.StatusCode)
 	}
 }
 
@@ -236,7 +236,7 @@ func newProfiledTestServer(t *testing.T) (*httptest.Server, *engine.Engine) {
 func TestServeFeedbackLoop(t *testing.T) {
 	srv, _ := newProfiledTestServer(t)
 	q := engine.Query{Expr: "aatb", Instance: []int{80, 514, 768}, Strategy: "adaptive"}
-	resp, body := postJSON(t, srv.URL+"/api/query", q)
+	resp, body := postJSON(t, srv.URL+"/api/v1/query", q)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("adaptive query status %d: %s", resp.StatusCode, body)
 	}
@@ -253,7 +253,7 @@ func TestServeFeedbackLoop(t *testing.T) {
 			sec = 10.0
 		}
 		for rep := 0; rep < 3; rep++ {
-			resp, out := postJSON(t, srv.URL+"/api/feedback", engine.Feedback{
+			resp, out := postJSON(t, srv.URL+"/api/v1/feedback", engine.Feedback{
 				Expr: "aatb", Instance: []int{80, 514, 768}, Algorithm: alg, Seconds: sec,
 			})
 			if resp.StatusCode != http.StatusOK {
@@ -261,7 +261,7 @@ func TestServeFeedbackLoop(t *testing.T) {
 			}
 		}
 	}
-	resp, body = postJSON(t, srv.URL+"/api/query", q)
+	resp, body = postJSON(t, srv.URL+"/api/v1/query", q)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("re-query status %d", resp.StatusCode)
 	}
@@ -272,7 +272,7 @@ func TestServeFeedbackLoop(t *testing.T) {
 	if second.Selected.Index == first.Selected.Index {
 		t.Fatalf("served adaptive selection did not move off algorithm %d", first.Selected.Index)
 	}
-	resp, err := http.Get(srv.URL + "/api/stats")
+	resp, err := http.Get(srv.URL + "/api/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestServeFeedbackErrors(t *testing.T) {
 		"bad seconds":        engine.Feedback{Expr: "aatb", Instance: []int{80, 514, 768}, Algorithm: 1, Seconds: -1},
 		"unknown field":      map[string]any{"exprs": "aatb"},
 	} {
-		resp, out := postJSON(t, srv.URL+"/api/feedback", body)
+		resp, out := postJSON(t, srv.URL+"/api/v1/feedback", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s)", name, resp.StatusCode, out)
 		}
@@ -396,7 +396,7 @@ func TestServeBatchCompute(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		req.Queries = append(req.Queries, engine.Query{Expr: "aatb", Instance: []int{12, 16, 8}})
 	}
-	resp, body := postJSON(t, srv.URL+"/api/batch", req)
+	resp, body := postJSON(t, srv.URL+"/api/v1/batch", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -421,7 +421,7 @@ func TestServeBatchCompute(t *testing.T) {
 	// Default fills are drawn instance-major from one deterministic
 	// stream, so items differ within a batch but every item reproduces
 	// exactly on a repeated request.
-	resp, body2 := postJSON(t, srv.URL+"/api/batch", req)
+	resp, body2 := postJSON(t, srv.URL+"/api/v1/batch", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("second request status %d", resp.StatusCode)
 	}
@@ -434,8 +434,8 @@ func TestServeBatchCompute(t *testing.T) {
 			t.Errorf("item %d not deterministic across requests", i)
 		}
 	}
-	// The fused path and its counters are visible through /api/stats.
-	sresp, err := http.Get(srv.URL + "/api/stats")
+	// The fused path and its counters are visible through /api/v1/stats.
+	sresp, err := http.Get(srv.URL + "/api/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

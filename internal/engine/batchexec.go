@@ -40,19 +40,6 @@ const batchFillSeed = 0x5ab5
 // count as HeteroPrepadding rejects.
 const heteroPaddingMax = 4
 
-// BatchExecResult pairs one query's selection record with the computed
-// result of running the selected algorithm on that query's inputs.
-type BatchExecResult struct {
-	Record *Record
-	// Output is the selected algorithm's result (caller-owned copy);
-	// nil when Err is set.
-	Output *mat.Dense
-	Err    error
-	// Fused reports whether this result was computed through a fused
-	// batch plan shared with other queries of the same bucket.
-	Fused bool
-}
-
 // queryBatchExecCtx answers the queries (through queryBatchCtx:
 // within-batch coalescing, singleflight) and then executes each query's
 // selected algorithm, returning records and results in request order.
@@ -64,14 +51,12 @@ type BatchExecResult struct {
 // marked Fused; each fused-executed query counts in Stats.FusedQueries.
 // Buckets outside the fused regime execute per query and count in
 // Stats.FuseRejected by reason.
-func (e *Engine) queryBatchExecCtx(ctx context.Context, qs []Query, inputs []map[string]*mat.Dense) []BatchExecResult {
-	out := make([]BatchExecResult, len(qs))
-	recs := e.queryBatchCtx(ctx, qs)
+func (e *Engine) queryBatchExecCtx(ctx context.Context, qs []Query, inputs []map[string]*mat.Dense) []Result {
+	out := e.queryBatchCtx(ctx, qs)
 	algOf := make([]*expr.Algorithm, len(qs))
 	buckets := make(map[string][]int)
 	var order []string
-	for i := range recs {
-		out[i].Record, out[i].Err = recs[i].Record, recs[i].Err
+	for i := range out {
 		if out[i].Err != nil || out[i].Record == nil {
 			continue
 		}
@@ -124,7 +109,7 @@ func shapeOctaves(inst expr.Instance) string {
 // execBucket executes one bucket of answered queries, fused when the
 // executor and the regime allow, per query otherwise (with the reject
 // reason counted).
-func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []BatchExecResult) {
+func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []Result) {
 	if len(idxs) < 2 {
 		e.execUnfused(idxs, inputs, algOf, out)
 		return
@@ -176,7 +161,7 @@ func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, algOf []
 // fused plan. Any compile or execution failure (e.g. a non-SPD input to
 // a Cholesky-based algorithm) falls back to per-query execution, so one
 // bad query cannot take its bucket neighbours down.
-func (e *Engine) execFusedChunk(idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []BatchExecResult) {
+func (e *Engine) execFusedChunk(idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []Result) {
 	algs := make([]*expr.Algorithm, len(idxs))
 	for k, i := range idxs {
 		algs[k] = algOf[i]
@@ -229,7 +214,7 @@ func runFused(p *exec.MixedBatchPlan, idxs []int, inputs []map[string]*mat.Dense
 }
 
 // execUnfused executes each query through its own single-instance plan.
-func (e *Engine) execUnfused(idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []BatchExecResult) {
+func (e *Engine) execUnfused(idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []Result) {
 	for _, i := range idxs {
 		out[i].Output, out[i].Err = execOne(algOf[i], inputMap(inputs, i))
 		out[i].Fused = false

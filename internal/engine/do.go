@@ -33,9 +33,18 @@ type Request struct {
 	Inputs []map[string]*mat.Dense
 }
 
-// Result is one query's answer: its record, and — for Compute requests
-// — the computed output.
-type Result = BatchExecResult
+// Result is one query's answer: its record or error, and — for Compute
+// requests — the computed output.
+type Result struct {
+	Record *Record
+	// Output is the selected algorithm's result (caller-owned copy);
+	// nil when Err is set or without Compute.
+	Output *mat.Dense
+	Err    error
+	// Fused reports whether this result was computed through a fused
+	// batch plan shared with other queries of the same bucket.
+	Fused bool
+}
 
 // Do answers the request under the caller's context and returns one
 // Result per query, in request order. The context's deadline governs
@@ -60,11 +69,6 @@ func (e *Engine) Do(ctx context.Context, req Request) []Result {
 		rec, err := e.queryCtx(ctx, qs[0])
 		return []Result{{Record: rec, Err: err}}
 	default:
-		rs := e.queryBatchCtx(ctx, qs)
-		out := make([]Result, len(rs))
-		for i, r := range rs {
-			out[i] = Result{Record: r.Record, Err: r.Err}
-		}
-		return out
+		return e.queryBatchCtx(ctx, qs)
 	}
 }

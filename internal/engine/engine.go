@@ -177,12 +177,6 @@ type Record struct {
 	Explore bool `json:"explore,omitempty"`
 }
 
-// BatchResult pairs one query's record with its error.
-type BatchResult struct {
-	Record *Record
-	Err    error
-}
-
 // Stats exposes the engine's per-layer cache counters.
 type Stats struct {
 	// Expressions counts symbolic-layer lookups: a hit means the
@@ -445,7 +439,7 @@ func New(cfg Config) *Engine {
 // one pointer swap, in-flight queries finish on the store they loaded at
 // entry, and subsequent queries see only the new one. Returns the
 // installed generation (1 for the store loaded at boot). This is the
-// hot-reload path behind `lamb serve`'s SIGHUP and /api/admin/reload.
+// hot-reload path behind `lamb serve`'s SIGHUP and /api/v1/admin/reload.
 func (e *Engine) ReloadProfiles(set *profile.Set, meta profile.Meta) uint64 {
 	if set == nil {
 		panic("engine: ReloadProfiles with a nil profile set")
@@ -747,11 +741,7 @@ func (e *Engine) answer(ctx context.Context, q Query, strat string) (rec *Record
 			explored = true
 		}
 	} else {
-		if is, ok := run.s.(selection.InstanceStrategy); ok {
-			pick = is.ChooseFor(q.Instance, algs)
-		} else {
-			pick = run.s.Choose(algs)
-		}
+		pick = run.s.Choose(algs)
 	}
 	// Every answer carries the discriminant test, whatever strategy made
 	// the pick: the posterior over the engine's full current evidence
@@ -821,8 +811,8 @@ func batchWorkers(n int) int {
 // protocol as a single Do query: timed strategies measure each instance
 // cold, one at a time. A context that expires mid-batch fails the
 // not-yet-answered queries with its error.
-func (e *Engine) queryBatchCtx(ctx context.Context, qs []Query) []BatchResult {
-	out := make([]BatchResult, len(qs))
+func (e *Engine) queryBatchCtx(ctx context.Context, qs []Query) []Result {
+	out := make([]Result, len(qs))
 	if len(qs) == 0 {
 		return out
 	}
@@ -854,7 +844,7 @@ func (e *Engine) queryBatchCtx(ctx context.Context, qs []Query) []BatchResult {
 			defer wg.Done()
 			defer func() { <-sem }()
 			rec, err := e.queryCtx(ctx, qs[i])
-			out[i] = BatchResult{Record: rec, Err: err}
+			out[i] = Result{Record: rec, Err: err}
 		}(i)
 	}
 	wg.Wait()

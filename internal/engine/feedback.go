@@ -12,7 +12,7 @@ import (
 // (lamb/internal/outcomes — bounded, time-decayed, snapshot/restorable),
 // and the adaptive strategy folds nearby outcomes back into later
 // choices (the online decision process of arXiv:2209.03258). `lamb
-// serve` exposes it as POST /api/feedback and persists the store across
+// serve` exposes it as POST /api/v1/feedback and persists the store across
 // restarts with -outcomes.
 
 // Feedback is one measured outcome for a previously served selection:

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"lamb/internal/blas"
 	"lamb/internal/expr"
 	"lamb/internal/kernels"
 	"lamb/internal/mat"
@@ -78,37 +77,6 @@ func (e *Measured) plan(alg *expr.Algorithm) *Plan {
 		panic(fmt.Sprintf("exec: %v", err))
 	}
 	return p
-}
-
-// Dispatch executes a single call on the operand map using the pure-Go
-// BLAS kernels. Symmetric kernels use the lower triangle, matching the
-// SYRK outputs produced here. It is exported so tests and examples can
-// evaluate algorithms for correctness (see EvaluateAlgorithm).
-func Dispatch(call kernels.Call, ops map[string]*mat.Dense) {
-	switch call.Kind {
-	case kernels.Gemm:
-		blas.Gemm(call.TransA, call.TransB, 1, ops[call.In[0]], ops[call.In[1]], 0, ops[call.Out])
-	case kernels.Syrk:
-		if call.TransA {
-			blas.SyrkT(mat.Lower, 1, ops[call.In[0]], 0, ops[call.Out])
-		} else {
-			blas.Syrk(mat.Lower, 1, ops[call.In[0]], 0, ops[call.Out])
-		}
-	case kernels.Symm:
-		blas.Symm(mat.Lower, 1, ops[call.In[0]], ops[call.In[1]], 0, ops[call.Out])
-	case kernels.Tri2Full:
-		blas.Tri2Full(mat.Lower, ops[call.Out])
-	case kernels.Potrf:
-		if err := blas.Potrf(ops[call.Out]); err != nil {
-			panic(fmt.Sprintf("exec: %v (operand %q must be SPD)", err, call.Out))
-		}
-	case kernels.Trsm:
-		blas.Trsm(mat.Lower, call.TransA, 1, ops[call.In[0]], ops[call.Out])
-	case kernels.AddSym:
-		blas.AddSym(mat.Lower, ops[call.Out], ops[call.In[1]])
-	default:
-		panic(fmt.Sprintf("exec: dispatch of unknown kind %v", call.Kind))
-	}
 }
 
 // EvaluateAlgorithm runs the algorithm's calls on the provided input

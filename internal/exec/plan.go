@@ -319,8 +319,8 @@ func layoutArena(nsteps int, first, last, sizes []int) (offsets []int, arenaLen 
 }
 
 // bindCall resolves the call's operands through get and returns a
-// closure that executes it on the pure-Go BLAS kernels. Semantics match
-// Dispatch exactly.
+// closure that executes it on the pure-Go BLAS kernels. Symmetric
+// kernels use the lower triangle.
 func bindCall(c kernels.Call, get func(string) *mat.Dense) (func(), error) {
 	switch c.Kind {
 	case kernels.Gemm:

@@ -114,7 +114,7 @@ func (st *Store) Snapshot(profileID string) *Snapshot {
 }
 
 // SnapshotLocal is Snapshot restricted to this process's own evidence
-// (the empty source): the export `lamb serve` offers on /api/outcomes
+// (the empty source): the export `lamb serve` offers on /api/v1/outcomes
 // for cross-process merging. Gossiping only locally observed outcomes
 // keeps merge convergent — a peer's evidence is never re-attributed to
 // this process and echoed back to it amplified.

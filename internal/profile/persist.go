@@ -41,7 +41,7 @@ const SchemaVersion = 1
 
 // Meta records the provenance of a measured profile set: what machine
 // and backend produced it, under which protocol. Serving surfaces it
-// through /api/stats and query records so a consumer can tell which
+// through /api/v1/stats and query records so a consumer can tell which
 // measurement a prediction came from.
 type Meta struct {
 	// CreatedAt is the RFC 3339 measurement timestamp.

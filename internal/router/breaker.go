@@ -14,7 +14,7 @@ const (
 	breakerHalfOpen
 )
 
-// breakerStateNames render the state for /api/stats.
+// breakerStateNames render the state for /api/v1/stats.
 var breakerStateNames = [...]string{"closed", "open", "half-open"}
 
 // breaker is one backend's circuit breaker. It trips on the failure

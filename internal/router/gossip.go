@@ -1,11 +1,9 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"time"
@@ -79,23 +77,7 @@ func (rt *Router) fetchOutcomes(ctx context.Context, b *backendState) ([]byte, e
 	if err := faultinject.FireCtx(ctx, "router.merge"); err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/api/v1/outcomes", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("outcomes export from %s: status %d", b.url, resp.StatusCode)
-	}
-	return body, nil
+	return rt.get(ctx, b, "/api/v1/outcomes")
 }
 
 // pushMerge posts a snapshot to one backend, attributed to the source
@@ -105,27 +87,17 @@ func (rt *Router) pushMerge(ctx context.Context, dst *backendState, source strin
 	defer cancel()
 	target := fmt.Sprintf("%s/api/v1/admin/merge?source=%s&scale=%s",
 		dst.url, url.QueryEscape(source), url.QueryEscape(fmt.Sprintf("%g", rt.cfg.MergeScale)))
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(snap))
-	if err != nil {
-		return 0, err
+	res := rt.exchange(ctx, http.MethodPost, target, snap)
+	if res.err != nil {
+		return 0, res.err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes))
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("merge into %s: status %d: %s", dst.url, resp.StatusCode, body)
+	if res.status != http.StatusOK {
+		return 0, fmt.Errorf("merge into %s: status %d: %s", dst.url, res.status, res.body)
 	}
 	var counts struct {
 		Merged int `json:"merged"`
 	}
-	if err := json.Unmarshal(body, &counts); err != nil {
+	if err := json.Unmarshal(res.body, &counts); err != nil {
 		return 0, err
 	}
 	return counts.Merged, nil

@@ -5,40 +5,29 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
-	"time"
 
 	"lamb/internal/engine"
 	"lamb/internal/expr"
+	"lamb/internal/httpjson"
 )
 
-// The router's HTTP surface mirrors the serve API — a client pointed at
-// a router instead of a single backend sees the same endpoints and the
-// same record schema — with the router's own /healthz and /api/stats.
-// Like the serve layer, the documented surface is /api/v1/ and the
-// legacy /api/ paths remain as deprecated aliases.
-
-// Handler assembles the route table.
+// Handler assembles the route table. The router's HTTP surface mirrors
+// the serve API — a client pointed at a router instead of a single
+// backend sees the same /api/v1 endpoints, the same record schema and
+// the same error replies (both use internal/httpjson) — with the
+// router's own /healthz and /api/v1/stats.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	api := func(method, path string, h http.HandlerFunc) {
-		mux.HandleFunc(method+" /api/v1"+path, h)
-		mux.HandleFunc(method+" /api"+path, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", `</api/v1`+path+`>; rel="successor-version"`)
-			h(w, r)
-		})
-	}
-	api("GET", "/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, rt.Stats())
+	mux.HandleFunc("GET /api/v1/stats", func(w http.ResponseWriter, r *http.Request) {
+		httpjson.Write(w, http.StatusOK, rt.Stats())
 	})
-	api("GET", "/expressions", rt.handleExpressions)
-	api("POST", "/query", rt.handleQuery)
-	api("POST", "/batch", rt.handleBatch)
-	api("POST", "/feedback", rt.handleFeedback)
+	mux.HandleFunc("GET /api/v1/expressions", rt.handleExpressions)
+	mux.HandleFunc("POST /api/v1/query", rt.handleQuery)
+	mux.HandleFunc("POST /api/v1/batch", rt.handleBatch)
+	mux.HandleFunc("POST /api/v1/feedback", rt.handleFeedback)
 	return mux
 }
 
@@ -57,7 +46,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, map[string]any{
+	httpjson.Write(w, status, map[string]any{
 		"ok": true, "ready": ready, "backends": len(rt.backends), "up": up,
 	})
 }
@@ -78,7 +67,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx, cancel := requestCtx(r, q.TimeoutMs)
+	ctx, cancel := httpjson.Context(r, q.TimeoutMs, 0)
 	defer cancel()
 	key := shardKey(q.Expr, q.Instance)
 	cands := rt.ring.candidates(key)
@@ -95,83 +84,66 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	res := rt.forward(ctx, cands, "/api/v1/query", body, hedge)
 	if res.err == nil {
-		// The record (confidence included) is relayed untouched; the
-		// router only remembers the confidence to steer future hedging.
-		rt.observeConfidence(key, res)
+		// The record (confidence included) is relayed untouched; with
+		// hedging armed the router also remembers the confidence to
+		// steer future hedging.
+		if rt.cfg.HedgeAfter > 0 {
+			rt.observeConfidence(key, res)
+		}
 		relay(w, res)
 		return
 	}
-	rt.localQuery(w, ctx, q)
-}
-
-// localQuery is the bottom of the ladder: no backend answered, so the
-// local profile-less engine selects by min-flops — the paper's
-// always-available discriminant — and the record says so.
-func (rt *Router) localQuery(w http.ResponseWriter, ctx context.Context, q queryBody) {
-	if rt.cfg.Local == nil {
+	rec, err := rt.localAnswer(ctx, q)
+	switch {
+	case errors.Is(err, errNoBackend):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, errNoBackend)
-		return
+		httpjson.Error(w, http.StatusServiceUnavailable, err)
+	case err != nil:
+		httpjson.EngineError(w, err)
+	default:
+		httpjson.Write(w, http.StatusOK, rec)
 	}
-	res := rt.cfg.Local.Do(ctx, engine.Request{Queries: []engine.Query{
-		{Expr: q.Expr, Instance: expr.Instance(q.Instance), Strategy: "min-flops"},
-	}})
-	rec, err := res[0].Record, res[0].Err
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			writeError(w, http.StatusGatewayTimeout, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if q.Strategy != "" && q.Strategy != "min-flops" {
-		rec.Requested = q.Strategy
-	}
-	rec.Degraded = DegradedNoBackend
-	rt.degraded.Add(1)
-	writeJSON(w, http.StatusOK, rec)
 }
 
-// localBatchItem answers one batch entry from the local engine,
-// returning the serve-schema item JSON.
-func (rt *Router) localBatchItem(ctx context.Context, raw json.RawMessage) json.RawMessage {
-	var q queryBody
-	if err := json.Unmarshal(raw, &q); err != nil {
-		return errorItem(err)
-	}
+// localAnswer is the bottom of the ladder: no backend answered, so the
+// local profile-less engine selects by min-flops — the paper's
+// always-available discriminant — and the record says so. Without a
+// local engine it fails with errNoBackend.
+func (rt *Router) localAnswer(ctx context.Context, q queryBody) (*engine.Record, error) {
 	if rt.cfg.Local == nil {
-		return errorItem(errNoBackend)
+		return nil, errNoBackend
 	}
 	res := rt.cfg.Local.Do(ctx, engine.Request{Queries: []engine.Query{
 		{Expr: q.Expr, Instance: expr.Instance(q.Instance), Strategy: "min-flops"},
 	}})
 	rec, err := res[0].Record, res[0].Err
 	if err != nil {
-		return errorItem(err)
+		return nil, err
 	}
 	if q.Strategy != "" && q.Strategy != "min-flops" {
 		rec.Requested = q.Strategy
 	}
 	rec.Degraded = DegradedNoBackend
 	rt.degraded.Add(1)
-	out, err := json.Marshal(rec)
+	return rec, nil
+}
+
+// batchItem renders one serve-schema batch item: the record, or the
+// error when err is set.
+func batchItem(rec *engine.Record, err error) json.RawMessage {
+	var v any = rec
 	if err != nil {
-		return errorItem(err)
+		v = httpjson.ErrorBody{Error: err.Error()}
+	}
+	out, err := json.Marshal(v)
+	if err != nil {
+		return batchItem(nil, err)
 	}
 	return out
 }
-
-func errorItem(err error) json.RawMessage {
-	out, _ := json.Marshal(map[string]string{"error": err.Error()})
-	return out
-}
-
-// maxRouteBatch mirrors the serve layer's batch cap.
-const maxRouteBatch = 1024
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := httpjson.ReadBody(w, r)
 	if !ok {
 		return
 	}
@@ -184,34 +156,34 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Compute bool `json:"compute"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		httpjson.BadBody(w, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	if len(req.Queries) > maxRouteBatch {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d queries exceeds the %d-query limit; split it", len(req.Queries), maxRouteBatch))
+	if !httpjson.CheckBatch(w, len(req.Queries)) {
 		return
 	}
-	ctx, cancel := requestCtx(r, req.TimeoutMs)
+	ctx, cancel := httpjson.Context(r, req.TimeoutMs, 0)
 	defer cancel()
 
 	// Split the batch by shard owner — each sub-batch rides the owning
-	// backend's fused execution path — then reassemble in order.
+	// backend's fused execution path — then reassemble in order. Each
+	// group writes only its own indices of results; the entries still
+	// nil afterwards (no owner up, or the group's forward failed) are
+	// answered by the local engine.
 	type group struct {
 		cands   []string
 		indices []int
 		raws    []json.RawMessage
 	}
 	groups := make(map[string]*group)
-	var localIdx []int
+	qs := make([]queryBody, len(req.Queries))
 	results := make([]json.RawMessage, len(req.Queries))
 	for i, raw := range req.Queries {
-		var q queryBody
-		if err := json.Unmarshal(raw, &q); err != nil {
-			results[i] = errorItem(err)
+		if err := json.Unmarshal(raw, &qs[i]); err != nil {
+			results[i] = batchItem(nil, err)
 			continue
 		}
-		cands := rt.ring.candidates(shardKey(q.Expr, q.Instance))
+		cands := rt.ring.candidates(shardKey(qs[i].Expr, qs[i].Instance))
 		owner := ""
 		for _, c := range cands {
 			if b := rt.byURL[c]; b.up.Load() {
@@ -220,7 +192,6 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if owner == "" {
-			localIdx = append(localIdx, i)
 			continue
 		}
 		g := groups[owner]
@@ -233,7 +204,6 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var wg sync.WaitGroup
-	var mu sync.Mutex // guards results and localIdx across groups
 	for _, g := range groups {
 		wg.Add(1)
 		go func(g *group) {
@@ -242,11 +212,9 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 				"queries": g.raws, "timeout_ms": req.TimeoutMs, "compute": req.Compute,
 			})
 			if err != nil {
-				mu.Lock()
 				for _, i := range g.indices {
-					results[i] = errorItem(err)
+					results[i] = batchItem(nil, err)
 				}
-				mu.Unlock()
 				return
 			}
 			res := rt.forward(ctx, g.cands, "/api/v1/batch", payload, false)
@@ -255,25 +223,19 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			if res.err == nil && res.status == http.StatusOK &&
 				json.Unmarshal(res.body, &sub) == nil && len(sub.Results) == len(g.indices) {
-				mu.Lock()
 				for k, i := range g.indices {
 					results[i] = sub.Results[k]
 				}
-				mu.Unlock()
-				return
 			}
-			// The whole group failed over to the floor: answer each
-			// query from the local engine.
-			mu.Lock()
-			localIdx = append(localIdx, g.indices...)
-			mu.Unlock()
 		}(g)
 	}
 	wg.Wait()
-	for _, i := range localIdx {
-		results[i] = rt.localBatchItem(ctx, req.Queries[i])
+	for i := range results {
+		if results[i] == nil {
+			results[i] = batchItem(rt.localAnswer(ctx, qs[i]))
+		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
+	httpjson.Write(w, http.StatusOK, map[string]any{"results": results})
 }
 
 // handleFeedback routes a measured outcome to the shard that owns the
@@ -285,12 +247,10 @@ func (rt *Router) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx, cancel := requestCtx(r, 0)
-	defer cancel()
-	res := rt.forward(ctx, rt.ring.candidates(shardKey(q.Expr, q.Instance)), "/api/v1/feedback", body, false)
+	res := rt.forward(r.Context(), rt.ring.candidates(shardKey(q.Expr, q.Instance)), "/api/v1/feedback", body, false)
 	if res.err != nil {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("feedback not stored: %w", res.err))
+		httpjson.Error(w, http.StatusServiceUnavailable, fmt.Errorf("feedback not stored: %w", res.err))
 		return
 	}
 	relay(w, res)
@@ -306,66 +266,32 @@ func (rt *Router) handleExpressions(w http.ResponseWriter, r *http.Request) {
 		if !b.up.Load() {
 			continue
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/api/v1/expressions", nil)
-		if err != nil {
-			continue
-		}
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			continue
-		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes))
-		resp.Body.Close()
-		if err == nil && resp.StatusCode == http.StatusOK {
-			relay(w, attemptResult{status: resp.StatusCode, body: body})
+		if body, err := rt.get(ctx, b, "/api/v1/expressions"); err == nil {
+			relay(w, attemptResult{status: http.StatusOK, body: body})
 			return
 		}
 	}
 	if rt.cfg.Local != nil {
-		writeJSON(w, http.StatusOK, rt.cfg.Local.ListExpressions())
+		httpjson.Write(w, http.StatusOK, rt.cfg.Local.ListExpressions())
 		return
 	}
 	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, errNoBackend)
+	httpjson.Error(w, http.StatusServiceUnavailable, errNoBackend)
 }
 
 // readQuery reads the capped body and leniently extracts the shard-key
 // fields, replying 400 on garbage.
 func (rt *Router) readQuery(w http.ResponseWriter, r *http.Request) ([]byte, queryBody, bool) {
-	body, ok := readBody(w, r)
+	body, ok := httpjson.ReadBody(w, r)
 	if !ok {
 		return nil, queryBody{}, false
 	}
 	var q queryBody
 	if err := json.Unmarshal(body, &q); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		httpjson.BadBody(w, fmt.Errorf("bad request body: %w", err))
 		return nil, queryBody{}, false
 	}
 	return body, q, true
-}
-
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRelayBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-		} else {
-			writeError(w, http.StatusBadRequest, err)
-		}
-		return nil, false
-	}
-	return body, true
-}
-
-// requestCtx bounds the whole routed request by the client's
-// timeout_ms; individual attempts are further bounded by
-// AttemptTimeout.
-func requestCtx(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
-	if timeoutMs > 0 {
-		return context.WithTimeout(r.Context(), time.Duration(timeoutMs)*time.Millisecond)
-	}
-	return r.Context(), func() {}
 }
 
 // relay writes a backend response through unchanged.
@@ -373,14 +299,4 @@ func relay(w http.ResponseWriter, res attemptResult) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(res.status)
 	w.Write(res.body)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

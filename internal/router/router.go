@@ -15,6 +15,7 @@ import (
 
 	"lamb/internal/engine"
 	"lamb/internal/faultinject"
+	"lamb/internal/httpjson"
 )
 
 // Config parameterises a Router. Zero values take the defaults noted on
@@ -277,7 +278,7 @@ type BackendStats struct {
 	Failures      uint64 `json:"failures"`
 }
 
-// Stats is the router's /api/stats body: fleet state plus the routing
+// Stats is the router's /api/v1/stats body: fleet state plus the routing
 // and gossip counters.
 type Stats struct {
 	Backends  []BackendStats `json:"backends"`
@@ -373,7 +374,14 @@ func (rt *Router) roundTrip(ctx context.Context, b *backendState, path string, p
 	if err := faultinject.FireCtx(ctx, "router.forward"); err != nil {
 		return attemptResult{err: err}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+path, bytes.NewReader(payload))
+	return rt.exchange(ctx, http.MethodPost, b.url+path, payload)
+}
+
+// exchange is one HTTP exchange with a backend: payload (empty for a
+// GET) sent as JSON, the response body capped at httpjson.MaxBodyBytes.
+// Forwards, expression lookups and gossip all go through it.
+func (rt *Router) exchange(ctx context.Context, method, target string, payload []byte) attemptResult {
+	req, err := http.NewRequestWithContext(ctx, method, target, bytes.NewReader(payload))
 	if err != nil {
 		return attemptResult{err: err}
 	}
@@ -383,11 +391,23 @@ func (rt *Router) roundTrip(ctx context.Context, b *backendState, path string, p
 		return attemptResult{err: err}
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, httpjson.MaxBodyBytes))
 	if err != nil {
 		return attemptResult{err: err}
 	}
 	return attemptResult{status: resp.StatusCode, body: body}
+}
+
+// get fetches path from one backend; any status but 200 is an error.
+func (rt *Router) get(ctx context.Context, b *backendState, path string) ([]byte, error) {
+	res := rt.exchange(ctx, http.MethodGet, b.url+path, nil)
+	if res.err != nil {
+		return nil, res.err
+	}
+	if res.status != http.StatusOK {
+		return nil, fmt.Errorf("GET %s%s: status %d", b.url, path, res.status)
+	}
+	return res.body, nil
 }
 
 // forward runs the retry ladder over cands (ring order): skip down or
@@ -501,7 +521,3 @@ func (rt *Router) backoff(ctx context.Context, attempt int) error {
 		return ctx.Err()
 	}
 }
-
-// maxRelayBytes caps a relayed backend response; matches the serve
-// layer's request cap.
-const maxRelayBytes = 4 << 20

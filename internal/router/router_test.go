@@ -124,7 +124,7 @@ type fakeBackend struct {
 	srv     *httptest.Server
 	healthy atomic.Bool
 	queries atomic.Uint64
-	handler atomic.Value // func(w, r) for /api/*
+	handler atomic.Value // func(w, r) for /api/v1/*
 }
 
 func newFakeBackend(t *testing.T, handle func(w http.ResponseWriter, r *http.Request)) *fakeBackend {
@@ -167,7 +167,7 @@ func testRouter(t *testing.T, cfg Config) *Router {
 
 func postQuery(t *testing.T, h http.Handler, body string) (*http.Response, []byte) {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodPost, "/api/query", bytes.NewReader([]byte(body)))
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/query", bytes.NewReader([]byte(body)))
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	resp := w.Result()
@@ -386,7 +386,7 @@ func TestRouterBatchSplitsAndReassembles(t *testing.T) {
 		}
 	}
 	body := `{"queries":[` + join(queries) + `]}`
-	req := httptest.NewRequest(http.MethodPost, "/api/batch", bytes.NewReader([]byte(body)))
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/batch", bytes.NewReader([]byte(body)))
 	w := httptest.NewRecorder()
 	rt.Handler().ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
@@ -492,5 +492,84 @@ func TestRouterHealthzReflectsFleet(t *testing.T) {
 	noLocal.Handler().ServeHTTP(w, req)
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("healthz with nothing to serve from: %d", w.Code)
+	}
+}
+
+// TestRouterLowConfidenceHedging pins adaptive hedging: with HedgeAfter
+// set, a shard key whose answer reported confidence below
+// DefaultHedgeConfidence makes the next adaptive query for that key race
+// a second backend. With hedging off the router records no confidence
+// at all.
+func TestRouterLowConfidenceHedging(t *testing.T) {
+	slowUnsure := func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(20 * time.Millisecond)
+		w.Write([]byte(`{"expr":"aatb","strategy":"adaptive","selected":{"index":1},"confidence":0.2}`))
+	}
+	a := newFakeBackend(t, slowUnsure)
+	b := newFakeBackend(t, slowUnsure)
+	const q = `{"expr":"aatb","instance":[80,514,768],"strategy":"adaptive"}`
+
+	rt := testRouter(t, Config{Backends: []string{a.srv.URL, b.srv.URL}, HedgeAfter: 2 * time.Millisecond})
+	h := rt.Handler()
+	if resp, body := postQuery(t, h, q); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first query status %d: %s", resp.StatusCode, body)
+	}
+	if s := rt.Stats(); s.Hedged != 0 || s.LowConfidenceHedges != 0 {
+		t.Fatalf("first query for an unseen key hedged: %+v", s)
+	}
+	if resp, body := postQuery(t, h, q); resp.StatusCode != http.StatusOK {
+		t.Fatalf("second query status %d: %s", resp.StatusCode, body)
+	}
+	// The primary sleeps 10× HedgeAfter, so the hedge timer always fires.
+	if s := rt.Stats(); s.Hedged != 1 || s.LowConfidenceHedges != 1 {
+		t.Fatalf("low-confidence key did not hedge: %+v", s)
+	}
+
+	off := testRouter(t, Config{Backends: []string{a.srv.URL, b.srv.URL}})
+	if resp, body := postQuery(t, off.Handler(), q); resp.StatusCode != http.StatusOK {
+		t.Fatalf("unhedged query status %d: %s", resp.StatusCode, body)
+	}
+	off.confMu.Lock()
+	n := len(off.conf)
+	off.confMu.Unlock()
+	if n != 0 {
+		t.Fatalf("hedging off, yet %d confidences recorded", n)
+	}
+}
+
+// TestRouterLocalFallbackSingleMatchesBatch: with every backend down,
+// the local-fallback record for a single query is byte for byte the item
+// the router returns for the same query as a one-item batch.
+func TestRouterLocalFallbackSingleMatchesBatch(t *testing.T) {
+	rt := testRouter(t, Config{
+		Backends:    []string{"http://127.0.0.1:9"},
+		BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
+	})
+	h := rt.Handler()
+	const q = `{"expr":"aatb","instance":[80,514,768],"strategy":"adaptive"}`
+	resp, single := postQuery(t, h, q)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("single status %d: %s", resp.StatusCode, single)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/batch", bytes.NewReader([]byte(`{"queries":[`+q+`]}`)))
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("batch status %d: %s", w.Code, w.Body)
+	}
+	var batch struct {
+		Results []json.RawMessage `json:"results"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &batch); err != nil || len(batch.Results) != 1 {
+		t.Fatalf("batch body %s: %v", w.Body, err)
+	}
+	if got, want := string(batch.Results[0]), string(bytes.TrimSpace(single)); got != want {
+		t.Fatalf("batch item differs from the single record:\n got %s\nwant %s", got, want)
+	}
+	if !bytes.Contains(single, []byte(`"degraded":"no-backend"`)) {
+		t.Fatalf("fallback record not stamped: %s", single)
+	}
+	if s := rt.Stats(); s.DegradedQueries != 2 {
+		t.Fatalf("degraded counter %d, want 2", s.DegradedQueries)
 	}
 }
