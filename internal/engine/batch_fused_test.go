@@ -54,16 +54,21 @@ func TestQueryBatchCoalescesDuplicates(t *testing.T) {
 
 // countingExecutor is the measured backend with every per-instance
 // timing repetition counted and delayed by a fixed wall-clock amount.
-// Embedding *exec.Measured keeps its fused-regime gate (FuseWidth,
-// FuseChunk), so the engine sees a batch-capable executor.
+// Embedding *exec.Measured keeps its fused-regime gate (FuseWidth), so
+// the engine sees a batch-capable executor. probe, when set, runs inside
+// every repetition.
 type countingExecutor struct {
 	*exec.Measured
 	delay time.Duration
 	reps  *atomic.Int64
+	probe func()
 }
 
 func (c countingExecutor) TimeAlgorithm(alg *expr.Algorithm, rep uint64) []float64 {
 	c.reps.Add(1)
+	if c.probe != nil {
+		c.probe()
+	}
 	time.Sleep(c.delay)
 	return c.Measured.TimeAlgorithm(alg, rep)
 }
@@ -87,7 +92,7 @@ func TestQueryBatchFusedMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if me.FuseChunk(&algs[0]) < 2 {
+	if me.FuseWidth(&algs[0]) < 2 {
 		t.Fatal("test instance is outside the fused regime")
 	}
 	res := e.Do(context.Background(), Request{Queries: []Query{q, q, q}})
@@ -130,7 +135,7 @@ func TestQueryBatchFusedMeasurement(t *testing.T) {
 func TestQueryBatchFusedDeadlineDegrades(t *testing.T) {
 	me := exec.NewMeasured()
 	me.FlushBytes = 1 << 20
-	e := New(Config{Executor: countingExecutor{me, 30 * time.Millisecond, new(atomic.Int64)}, Reps: 3})
+	e := New(Config{Executor: countingExecutor{Measured: me, delay: 30 * time.Millisecond, reps: new(atomic.Int64)}, Reps: 3})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	res := e.Do(ctx, Request{Queries: []Query{

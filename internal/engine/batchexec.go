@@ -7,13 +7,14 @@ package engine
 // execution step then buckets the answered queries by (expression,
 // selected algorithm index, shape octave) — same expression, same
 // algorithm family, shapes within one power-of-two octave per dimension
-// — and executes each bucket, chunk by chunk, through a MixedBatchPlan
-// padded to a common stride, whether its instances are identical or
-// mixed. That amortises the per-dispatch fixed costs that dominate the
-// small-instance regime. Buckets that cannot fuse (no batched executor,
-// instance arenas over the slab budget, padding overhead too high) fall
-// back to per-query execution and are counted, by reason, in
-// Stats.FuseRejected.
+// — and executes each bucket, one cache-sized chunk at a time, through
+// a MixedBatchPlan padded to a common stride, whether its instances are
+// identical or mixed. That amortises the per-dispatch fixed costs that
+// dominate the small-instance regime; chunks of concurrent requests
+// share the execution lock, so they run on different cores. Buckets
+// that cannot fuse (no batched executor, instance arenas over the slab
+// budget, padding overhead too high) fall back to per-query execution
+// and are counted, by reason, in Stats.FuseRejected.
 
 import (
 	"context"
@@ -34,8 +35,8 @@ const batchFillSeed = 0x5ab5
 
 // heteroPaddingMax is the padding-overhead gate for mixed buckets: a
 // mixed plan pads every instance slab to the largest stride in the
-// bucket, and chunk widths are inversely proportional to stride, so a
-// chunk-width spread beyond this factor means the small instances would
+// bucket, and fuse widths are inversely proportional to stride, so a
+// width spread beyond this factor means the small instances would
 // waste most of their padded slabs. Such buckets execute unfused and
 // count as HeteroPrepadding rejects.
 const heteroPaddingMax = 4
@@ -120,29 +121,26 @@ func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, algOf []
 		e.execUnfused(idxs, inputs, algOf, out)
 		return
 	}
-	width, minChunk, maxChunk := 0, 0, 0
+	// The bucket's width is its minimum FuseWidth: the chunk whose
+	// common (largest) stride still fits the slab budget.
+	width, maxWidth := 0, 0
 	for _, i := range idxs {
-		w, c := be.FuseWidth(algOf[i]), be.FuseChunk(algOf[i])
-		if w < 2 || c < 1 {
+		w := be.FuseWidth(algOf[i])
+		if w < 2 {
 			width = 0
 			break
 		}
 		if width == 0 || w < width {
 			width = w
 		}
-		if minChunk == 0 || c < minChunk {
-			minChunk = c
-		}
-		if c > maxChunk {
-			maxChunk = c
-		}
+		maxWidth = max(maxWidth, w)
 	}
 	if width < 2 {
 		e.rejTooBig.Add(uint64(len(idxs)))
 		e.execUnfused(idxs, inputs, algOf, out)
 		return
 	}
-	if maxChunk > heteroPaddingMax*minChunk {
+	if maxWidth > heteroPaddingMax*width {
 		e.rejHetero.Add(uint64(len(idxs)))
 		e.execUnfused(idxs, inputs, algOf, out)
 		return
@@ -171,10 +169,13 @@ func (e *Engine) execFusedChunk(idxs []int, inputs []map[string]*mat.Dense, algO
 		e.execUnfused(idxs, inputs, algOf, out)
 		return
 	}
-	// Fill, override, execute, and copy outputs under the execution
-	// lock: fused execution must not contend with a concurrent timed
-	// measurement.
-	e.execMu.Lock()
+	if e.onFusedPlan != nil {
+		e.onFusedPlan(p)
+	}
+	// Fill, override, execute, and copy outputs under the shared
+	// execution lock: fused chunks of other requests may run beside
+	// this one, a timed measurement may not.
+	e.execMu.RLock()
 	failed := runFused(p, idxs, inputs, algOf)
 	if failed == nil {
 		for k, i := range idxs {
@@ -185,7 +186,8 @@ func (e *Engine) execFusedChunk(idxs []int, inputs []map[string]*mat.Dense, algO
 			out[i].Fused = true
 		}
 	}
-	e.execMu.Unlock()
+	e.execMu.RUnlock()
+	p.Release()
 	if failed != nil {
 		e.execUnfused(idxs, inputs, algOf, out)
 		return
@@ -213,8 +215,11 @@ func runFused(p *exec.MixedBatchPlan, idxs []int, inputs []map[string]*mat.Dense
 	return nil
 }
 
-// execUnfused executes each query through its own single-instance plan.
+// execUnfused executes each query through its own single-instance
+// plan, under the shared execution lock.
 func (e *Engine) execUnfused(idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []Result) {
+	e.execMu.RLock()
+	defer e.execMu.RUnlock()
 	for _, i := range idxs {
 		out[i].Output, out[i].Err = execOne(algOf[i], inputMap(inputs, i))
 		out[i].Fused = false

@@ -2,6 +2,10 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lamb/internal/exec"
@@ -190,8 +194,8 @@ func TestQueryBatchExecRejectTooBigArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range algs {
-		if w := be.FuseChunk(&algs[i]); w >= 2 {
-			t.Skipf("instance %v unexpectedly inside the fused regime (chunk %d)", inst, w)
+		if w := be.FuseWidth(&algs[i]); w >= 2 {
+			t.Skipf("instance %v unexpectedly inside the fused regime (fuse width %d)", inst, w)
 		}
 	}
 	qs := []Query{
@@ -213,7 +217,7 @@ func TestQueryBatchExecRejectTooBigArena(t *testing.T) {
 }
 
 // TestQueryBatchExecRejectHeteroPrepadding drives execBucket directly
-// with two instances whose chunk widths are more than the padding gate
+// with two instances whose fuse widths are more than the padding gate
 // apart: the bucket must execute unfused and count the reject. (End to
 // end such pairs rarely share an octave bucket, which is the point of
 // octave bucketing; the gate is the second line of defence.)
@@ -229,9 +233,9 @@ func TestQueryBatchExecRejectHeteroPrepadding(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := &small[0], &large[0]
-	wa, wb := be.FuseChunk(a), be.FuseChunk(b)
+	wa, wb := be.FuseWidth(a), be.FuseWidth(b)
 	if wa < 2 || wb < 2 || wa <= heteroPaddingMax*wb {
-		t.Skipf("chunk widths %d/%d do not exercise the padding gate", wa, wb)
+		t.Skipf("fuse widths %d/%d do not exercise the padding gate", wa, wb)
 	}
 	out := make([]Result, 2)
 	e.execBucket([]int{0, 1}, nil, []*expr.Algorithm{a, b}, out)
@@ -286,5 +290,206 @@ func TestQueryBatchExecFusedFailureFallsBack(t *testing.T) {
 	}
 	if s := e.Stats(); s.FusedQueries != 0 {
 		t.Errorf("fused_queries = %d, want 0", s.FusedQueries)
+	}
+}
+
+// octaveBatch returns n queries of the expression with every dimension
+// drawn from [lo, 2·lo), one power-of-two octave.
+func octaveBatch(name string, arity, lo, n int, rng *xrand.Rand) []Query {
+	qs := make([]Query, n)
+	for i := range qs {
+		inst := make(expr.Instance, arity)
+		for d := range inst {
+			inst[d] = lo + rng.Intn(lo)
+		}
+		qs[i] = Query{Expr: name, Instance: inst}
+	}
+	return qs
+}
+
+// referenceOutputs recomputes a computed batch per instance, each on its
+// own exec.CompilePlan, from the fill stream the engine gave it: a
+// bucket (expression, selected algorithm, shape octave) executes in
+// chunks of its minimum FuseWidth, a fused chunk's instances share one
+// fresh stream in request order, and every unfused item has a fresh
+// stream of its own.
+func referenceOutputs(e *Engine, qs []Query, res []Result) ([]*mat.Dense, error) {
+	be := e.timer.Exec.(exec.BatchExecutor)
+	algOf := make([]*expr.Algorithm, len(qs))
+	buckets := map[string][]int{}
+	var order []string
+	for i, q := range qs {
+		algs, err := e.Algorithms(q.Expr, q.Instance)
+		if err != nil {
+			return nil, err
+		}
+		for j := range algs {
+			if algs[j].Index == res[i].Record.Selected.Index {
+				algOf[i] = &algs[j]
+			}
+		}
+		key := res[i].Record.Expr + "#" + strconv.Itoa(algOf[i].Index) + "#" + shapeOctaves(q.Instance)
+		if _, ok := buckets[key]; !ok {
+			order = append(order, key)
+		}
+		buckets[key] = append(buckets[key], i)
+	}
+	want := make([]*mat.Dense, len(qs))
+	run := func(chunk []int) error {
+		rng := xrand.New(batchFillSeed)
+		for _, i := range chunk {
+			p, err := exec.CompilePlan(algOf[i])
+			if err != nil {
+				return err
+			}
+			p.FillInputs(rng)
+			p.Execute()
+			want[i] = p.Output()
+		}
+		return nil
+	}
+	for _, key := range order {
+		idxs := buckets[key]
+		width := 0
+		for _, i := range idxs {
+			if w := be.FuseWidth(algOf[i]); width == 0 || w < width {
+				width = w
+			}
+		}
+		width = max(width, 1)
+		for lo := 0; lo < len(idxs); lo += width {
+			chunk := idxs[lo:min(lo+width, len(idxs))]
+			shared := len(chunk) >= 2
+			for _, i := range chunk {
+				shared = shared && res[i].Fused
+			}
+			if shared {
+				if err := run(chunk); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			for _, i := range chunk {
+				if err := run([]int{i}); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	return want, nil
+}
+
+// TestQueryBatchExecChunksFitSlab pins the cache-sized chunk: a
+// 64-query computed batch of aatb instances in [64,128)³ — megabytes of
+// arena per instance group — executes through fused plans whose arenas
+// each fit the 4 MiB slab budget, and every output still equals
+// per-instance execution on the same fill stream.
+func TestQueryBatchExecChunksFitSlab(t *testing.T) {
+	const slabFloats = (4 << 20) / 8 // the exec slab budget
+	e := New(Config{Executor: exec.NewMeasured()})
+	plans := 0
+	e.onFusedPlan = func(p *exec.MixedBatchPlan) {
+		plans++
+		if p.ArenaLen() > slabFloats {
+			t.Errorf("fused plan of %d instances has a %d-float arena, over the %d-float slab", p.Count(), p.ArenaLen(), slabFloats)
+		}
+	}
+	qs := octaveBatch("aatb", 3, 64, 64, xrand.New(0xc4a))
+	res := e.Do(context.Background(), Request{Queries: qs, Compute: true})
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("query %d: %v", i, r.Err)
+		}
+	}
+	if plans == 0 {
+		t.Fatal("no fused plan was compiled")
+	}
+	want, err := referenceOutputs(e, qs, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if !mat.Equal(r.Output, want[i]) {
+			t.Errorf("query %d (fused %v): output differs from per-instance execution", i, r.Fused)
+		}
+	}
+}
+
+// TestQueryBatchExecConcurrentComputeAndOracle drives computed batches
+// from four goroutines beside a stream of oracle queries. Computes hold
+// the execution lock shared and measurements exclusively: inside every
+// timing repetition the lock cannot be taken shared, and every computed
+// output equals per-instance execution on the same fill stream.
+func TestQueryBatchExecConcurrentComputeAndOracle(t *testing.T) {
+	me := exec.NewMeasured()
+	me.FlushBytes = 1 << 20
+	var e *Engine
+	var shared atomic.Int64
+	ce := countingExecutor{Measured: me, reps: new(atomic.Int64), probe: func() {
+		if e.execMu.TryRLock() {
+			e.execMu.RUnlock()
+			shared.Add(1)
+		}
+	}}
+	e = New(Config{Executor: ce, Reps: 2})
+	const workers, rounds = 4, 3
+	var wg sync.WaitGroup
+	errs := make(chan error, workers+1)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := xrand.New(uint64(0xc0c + w))
+			for r := range rounds {
+				qs := octaveBatch("aatb", 3, 16, 12, rng)
+				if r%2 == 1 {
+					qs = octaveBatch("gls", 4, 8, 12, rng)
+				}
+				res := e.Do(context.Background(), Request{Queries: qs, Compute: true})
+				for i, x := range res {
+					if x.Err != nil {
+						errs <- fmt.Errorf("worker %d round %d query %d: %v", w, r, i, x.Err)
+						return
+					}
+				}
+				want, err := referenceOutputs(e, qs, res)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i, x := range res {
+					if !mat.Equal(x.Output, want[i]) {
+						errs <- fmt.Errorf("worker %d round %d query %d (fused %v): output differs from per-instance execution", w, r, i, x.Fused)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := xrand.New(0x0ac1e)
+		for i := range 6 {
+			q := Query{Expr: "aatb", Instance: expr.Instance{8 + rng.Intn(16), 8 + rng.Intn(16), 8 + rng.Intn(16)}, Strategy: "oracle"}
+			if res := e.Do(context.Background(), Request{Queries: []Query{q}}); res[0].Err != nil {
+				errs <- fmt.Errorf("oracle query %d: %v", i, res[0].Err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if ce.reps.Load() == 0 {
+		t.Fatal("no timing repetition ran")
+	}
+	if n := shared.Load(); n != 0 {
+		t.Errorf("%d of %d timing repetitions ran with the execution lock shareable, want exclusive", n, ce.reps.Load())
+	}
+	if e.Stats().FusedQueries == 0 {
+		t.Error("no computed query was fused")
 	}
 }

@@ -321,10 +321,14 @@ type Engine struct {
 	exprMiss uint64
 	bind     *cache.LRU[bindKey, []expr.Algorithm]
 
-	// execMu serialises timing-based strategies: executors measure wall
-	// time, so concurrent measurement would contend for the cores being
-	// measured (and the measured executor is single-threaded anyway).
-	execMu sync.Mutex
+	// execMu is the shared/exclusive execution lock. Timing-based
+	// strategies hold it exclusively: executors measure wall time, so a
+	// measurement must not contend with any other execution for the
+	// cores being measured (and the measured executor is single-threaded
+	// anyway). Computed results (fused chunks and per-query execution)
+	// hold it shared, so computed batches from different requests run
+	// on different cores, but never beside a measurement.
+	execMu sync.RWMutex
 
 	// sfMu guards the singleflight table.
 	sfMu     sync.Mutex
@@ -339,6 +343,10 @@ type Engine struct {
 	rejTooBig       atomic.Uint64
 	rejUnregistered atomic.Uint64
 	rejHetero       atomic.Uint64
+
+	// onFusedPlan, when set (tests only, before any query), sees every
+	// fused plan the engine compiles, before it executes.
+	onFusedPlan func(*exec.MixedBatchPlan)
 
 	// The feedback path: measured outcomes recorded per (expression,
 	// instance), searched by log-shape distance for adaptive queries,

@@ -20,6 +20,7 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 
 	"lamb/internal/expr"
 	"lamb/internal/mat"
@@ -30,6 +31,21 @@ import (
 // every instance's slab starts on a cache-line boundary.
 const batchAlign = 8
 
+// alignedStride rounds an instance arena length up to the batch
+// alignment; an empty arena still occupies one aligned slot.
+func alignedStride(arenaLen int) int {
+	if arenaLen == 0 {
+		return batchAlign
+	}
+	return (arenaLen + batchAlign - 1) &^ (batchAlign - 1)
+}
+
+// slabs pools fixed-size arenas of batchSlabFloats float64s. Every
+// engine-compiled plan fits one (FuseWidth sizes chunks to it), so
+// steady-state fused execution reuses a few warm slabs instead of
+// allocating and zeroing a fresh arena per chunk.
+var slabs = sync.Pool{New: func() any { return new([batchSlabFloats]float64) }}
+
 // MixedBatchPlan is a compiled algorithm fused over instances of any
 // shapes, equal or mixed. Compile once, execute many times; like Plan
 // it is not safe for concurrent use.
@@ -37,6 +53,7 @@ type MixedBatchPlan struct {
 	algs   []*expr.Algorithm
 	stride int // common instance slab stride in float64s
 	arena  []float64
+	slab   *[batchSlabFloats]float64 // pooled backing of arena, or nil
 	// Per-instance state: each instance has its own operand index,
 	// headers (true shapes, laid out by its own layout within its padded
 	// slab), fill recipe, and output slot.
@@ -55,7 +72,9 @@ type MixedBatchPlan struct {
 // transposes, operand IDs) bound at its own instance; shapes may differ
 // freely, and one bound algorithm may repeat. Compilation allocates
 // everything an execution will ever need, so Execute is allocation-free
-// afterwards.
+// afterwards. An arena within the slab budget is taken from a pool and
+// cleared, so it starts zeroed exactly like a fresh one; Release hands
+// it back.
 func CompileBatchPlanMixed(algs []*expr.Algorithm) (*MixedBatchPlan, error) {
 	if len(algs) < 1 {
 		return nil, fmt.Errorf("exec: mixed batch plan needs at least one instance")
@@ -75,26 +94,24 @@ func CompileBatchPlanMixed(algs []*expr.Algorithm) (*MixedBatchPlan, error) {
 			return nil, err
 		}
 		lays[i] = lay
-		s := (lay.arenaLen + batchAlign - 1) &^ (batchAlign - 1)
-		if s > stride {
-			stride = s
-		}
-		if lay.scratchLen > scratchLen {
-			scratchLen = lay.scratchLen
-		}
-	}
-	if stride == 0 {
-		stride = batchAlign
+		stride = max(stride, alignedStride(lay.arenaLen))
+		scratchLen = max(scratchLen, lay.scratchLen)
 	}
 	p := &MixedBatchPlan{
 		algs:       algs,
 		stride:     stride,
-		arena:      make([]float64, stride*count),
 		index:      make([]map[string]int, count),
 		insts:      make([][]mat.Dense, count),
 		fills:      make([][]planFill, count),
 		outputs:    make([]int, count),
 		spdScratch: make([]float64, scratchLen),
+	}
+	if n := stride * count; n <= batchSlabFloats {
+		p.slab = slabs.Get().(*[batchSlabFloats]float64)
+		p.arena = p.slab[:n:n]
+		clear(p.arena)
+	} else {
+		p.arena = make([]float64, n)
 	}
 	nsteps := len(ref.Calls)
 	p.steps = make([][]func(), nsteps)
@@ -173,6 +190,17 @@ func (p *MixedBatchPlan) Execute() {
 		for _, run := range p.steps[s] {
 			run()
 		}
+	}
+}
+
+// Release returns the plan's pooled arena, if it has one, for reuse by
+// a later plan. The plan and every matrix it handed out (Operand,
+// Output) must not be used afterwards. A plan that is never released
+// is simply garbage-collected.
+func (p *MixedBatchPlan) Release() {
+	if p.slab != nil {
+		slabs.Put(p.slab)
+		p.slab, p.arena = nil, nil
 	}
 }
 

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"lamb/internal/blas"
@@ -113,12 +115,16 @@ func TestBatchPlanFillMatchesSequentialStream(t *testing.T) {
 
 // checkBatchMatchesSequential compiles algs into one batch plan and
 // checks its fill stream and its outputs against per-instance plans.
-func checkBatchMatchesSequential(t *testing.T, label string, ai int, algs []*expr.Algorithm) {
+// It releases the plan and returns the pooled slab the plan ran on (nil
+// if the arena was not pooled).
+func checkBatchMatchesSequential(t *testing.T, label string, ai int, algs []*expr.Algorithm) *[batchSlabFloats]float64 {
 	t.Helper()
 	mp, err := CompileBatchPlanMixed(algs)
 	if err != nil {
 		t.Fatalf("%s alg %d: CompileBatchPlanMixed: %v", label, ai, err)
 	}
+	slab := mp.slab
+	defer mp.Release()
 	if mp.Stride()%batchAlign != 0 {
 		t.Errorf("%s alg %d: stride %d not %d-aligned", label, ai, mp.Stride(), batchAlign)
 	}
@@ -145,6 +151,7 @@ func checkBatchMatchesSequential(t *testing.T, label string, ai int, algs []*exp
 			t.Errorf("%s alg %d: fused instance %d differs from sequential execution", label, ai, j)
 		}
 	}
+	return slab
 }
 
 // TestMixedBatchPlanRejectsForeignStructure checks the mixed compiler's
@@ -255,23 +262,124 @@ func TestMixedBatchPlanZeroAllocs(t *testing.T) {
 }
 
 // TestMeasuredFuseWidth checks the fused-regime gate: small instances
-// fuse one full chunk (64) and span the chunk cap in total (512), huge
-// instances don't fuse at all, and the chunk width always divides the
-// budget consistently with the total width.
+// fuse one full chunk (the 64 cap), huge instances don't fuse at all,
+// and every width's arena (width × stride) fits the slab budget.
 func TestMeasuredFuseWidth(t *testing.T) {
 	e := NewMeasured()
 	small := expr.NewAATB().Algorithms(expr.Instance{8, 8, 8})
-	if w := e.FuseChunk(&small[0]); w != 64 {
-		t.Errorf("FuseChunk(8-dim aatb) = %d, want the 64 chunk cap", w)
-	}
-	if w := e.FuseWidth(&small[0]); w != 64*maxFusedChunks {
-		t.Errorf("FuseWidth(8-dim aatb) = %d, want chunk·maxFusedChunks = %d", w, 64*maxFusedChunks)
+	if w := e.FuseWidth(&small[0]); w != maxFuseWidth {
+		t.Errorf("FuseWidth(8-dim aatb) = %d, want the %d cap", w, maxFuseWidth)
 	}
 	big := expr.NewAATB().Algorithms(expr.Instance{1200, 1200, 1200})
-	if w := e.FuseChunk(&big[0]); w != 0 {
-		t.Errorf("FuseChunk(1200-dim aatb) = %d, want 0 (outside the fused regime)", w)
-	}
 	if w := e.FuseWidth(&big[0]); w != 0 {
 		t.Errorf("FuseWidth(1200-dim aatb) = %d, want 0 (outside the fused regime)", w)
+	}
+	for _, inst := range []expr.Instance{{8, 8, 8}, {64, 64, 64}, {127, 127, 127}, {200, 150, 100}} {
+		algs := expr.NewAATB().Algorithms(inst)
+		for i := range algs {
+			w := e.FuseWidth(&algs[i])
+			if w == 0 {
+				continue
+			}
+			lay, err := compileLayout(&algs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := w * alignedStride(lay.arenaLen); n > batchSlabFloats {
+				t.Errorf("aatb%v alg %d: width %d × stride = %d floats, over the %d budget", inst, i, w, n, batchSlabFloats)
+			}
+		}
+	}
+}
+
+// TestMixedBatchPlanRecycledSlab pins that a pooled arena behaves like
+// a fresh one: a plan whose whole slab is poisoned with NaN is
+// released, the next plan compiled on that recycled slab starts with an
+// all-zero arena, and it still matches sequential execution bitwise,
+// for every algorithm of every registered expression.
+func TestMixedBatchPlanRecycledSlab(t *testing.T) {
+	rng := xrand.New(0x5ab)
+	reused := 0
+	for _, name := range expr.Names() {
+		ex, err := expr.Lookup(name)
+		if err != nil {
+			t.Fatalf("lookup %q: %v", name, err)
+		}
+		inst := make(expr.Instance, ex.Arity())
+		for i := range inst {
+			inst[i] = 5 + rng.Intn(28)
+		}
+		algs := ex.Algorithms(inst)
+		for ai := range algs {
+			batch := []*expr.Algorithm{&algs[ai], &algs[ai], &algs[ai]}
+			dirty, err := CompileBatchPlanMixed(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slab := dirty.slab
+			if slab == nil {
+				t.Fatalf("%s alg %d: arena of %d floats not pooled", name, ai, dirty.ArenaLen())
+			}
+			for i := range slab {
+				slab[i] = math.NaN()
+			}
+			dirty.Release()
+			fresh, err := CompileBatchPlanMixed(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range fresh.arena {
+				if math.Float64bits(v) != 0 {
+					t.Fatalf("%s alg %d: recycled arena element %d is %v, want +0", name, ai, i, v)
+				}
+			}
+			fresh.Release()
+			if p := checkBatchMatchesSequential(t, name+"/recycled", ai, batch); p == slab {
+				reused++
+			}
+		}
+	}
+	if reused == 0 && !raceEnabled {
+		t.Error("no plan was compiled on a recycled slab")
+	}
+}
+
+// TestCompileBatchPlanMixedPooledAllocs pins the pooled arena: with a
+// warm pool, compiling a full-width fused plan over aatb instances in
+// [64,128)³ — whose arena alone is megabytes — and releasing it
+// allocates well under 1 MiB per call.
+func TestCompileBatchPlanMixedPooledAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; allocation totals are meaningless")
+	}
+	rng := xrand.New(0xa7b)
+	e := NewMeasured()
+	var batch []*expr.Algorithm
+	for width := maxFuseWidth; len(batch) < width; {
+		algs := expr.NewAATB().Algorithms(expr.Instance{64 + rng.Intn(64), 64 + rng.Intn(64), 64 + rng.Intn(64)})
+		batch = append(batch, &algs[0])
+		width = min(width, e.FuseWidth(&algs[0]))
+		batch = batch[:min(len(batch), width)]
+	}
+	compile := func() int {
+		p, err := CompileBatchPlanMixed(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := p.ArenaLen()
+		p.Release()
+		return n
+	}
+	arena := compile() // warm the pool
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		compile()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	if perCall >= 1<<20 {
+		t.Errorf("CompileBatchPlanMixed allocates %d bytes per call for a %d-byte arena, want < 1 MiB", perCall, 8*arena)
 	}
 }

@@ -52,16 +52,14 @@ type Executor interface {
 // per-dispatch fixed costs to amortise — so callers type-assert and
 // fall back to the per-instance path. Fusing is for computing results
 // only: every timed measurement follows the per-instance cold-cache
-// protocol of Timer.
+// protocol of Timer. Fused plans compute, never time, so callers may
+// run several at once on different cores; a caller that also measures
+// (the engine) keeps measurements exclusive of any compute.
 type BatchExecutor interface {
-	// FuseWidth reports the total number of instances of alg one fused
-	// batch may carry (possibly spanning several chunks), or 0 if the
-	// algorithm is outside the fused regime.
+	// FuseWidth reports how many instances of alg one fused plan should
+	// execute together, so the plan's arena stays within the slab
+	// budget, or 0 if the algorithm is outside the fused regime.
 	FuseWidth(alg *expr.Algorithm) int
-	// FuseChunk reports the chunk width: how many instances one fused
-	// plan should execute together, so the chunk's working set stays
-	// within the slab budget. 0 means out of the fused regime.
-	FuseChunk(alg *expr.Algorithm) int
 }
 
 // Measurement is the result of timing one algorithm with repetitions.

@@ -114,50 +114,33 @@ func (e *Measured) TimeAlgorithm(alg *expr.Algorithm, rep uint64) []float64 {
 
 // batchSlabFloats is the fused-batch slab budget in float64s (4 MiB).
 // Fusing exists to amortise fixed per-dispatch costs across instances
-// whose working sets are cache-resident; the budget applies per *chunk*
-// — the contiguous instance range one fused plan executes — not per
-// batch, so wide batches execute as successive chunks while each
-// chunk's working set stays cache-sized. Instances whose arena cannot
-// fit at least two slabs in the budget are not fused at all.
+// whose working sets are cache-resident, so one fused plan — one chunk
+// of a bucket — never spans more than one slab: wide buckets execute as
+// successive chunks, each cache-sized. Instances whose arena cannot fit
+// at least two slabs in the budget are not fused at all. Arenas within
+// the budget come from a pool of slabs (see slabs).
 const batchSlabFloats = (4 << 20) / 8
 
-// maxFusedChunks bounds how many chunk widths one fused batch may span:
-// N instances execute as ⌈N/chunk⌉ chunks, so the total fusable width
-// is FuseChunk × maxFusedChunks (up to 512 instances for the smallest
-// strides).
-const maxFusedChunks = 8
+// maxFuseWidth caps the instances of one fused plan for the smallest
+// strides, where the slab budget alone would admit thousands.
+const maxFuseWidth = 64
 
-// FuseChunk implements BatchExecutor: the chunk width for alg — how
-// many instances one fused plan should execute together so the chunk's
-// arena fits the slab budget at least twice. 0 means the algorithm is
-// out of the fused regime (instance arena too large — or not
-// compilable, which the caller will surface through the ordinary
-// per-instance path).
-func (e *Measured) FuseChunk(alg *expr.Algorithm) int {
+// FuseWidth implements BatchExecutor: the chunk width for alg — how
+// many instances one fused plan should execute together so the plan's
+// arena fits the slab budget (capped at maxFuseWidth). 0 means the
+// algorithm is out of the fused regime (fewer than two instances fit —
+// or it is not compilable, which the caller will surface through the
+// ordinary per-instance path).
+func (e *Measured) FuseWidth(alg *expr.Algorithm) int {
 	lay, err := compileLayout(alg)
 	if err != nil {
 		return 0
 	}
-	stride := (lay.arenaLen + batchAlign - 1) &^ (batchAlign - 1)
-	if stride == 0 {
-		stride = batchAlign
-	}
-	w := batchSlabFloats / stride
+	w := batchSlabFloats / alignedStride(lay.arenaLen)
 	if w < 2 {
 		return 0
 	}
-	return min(w, 64)
-}
-
-// FuseWidth implements BatchExecutor: the total number of instances of
-// alg one fused batch may carry — the chunk width times the chunk cap.
-// 0 means the algorithm is out of the fused regime.
-func (e *Measured) FuseWidth(alg *expr.Algorithm) int {
-	w := e.FuseChunk(alg)
-	if w == 0 {
-		return 0
-	}
-	return w * maxFusedChunks
+	return min(w, maxFuseWidth)
 }
 
 // TimeCallCold implements Executor: the call runs through a compiled

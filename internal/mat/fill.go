@@ -49,14 +49,27 @@ func (m *Dense) FillSPD(scratch []float64, rng *xrand.Rand) {
 	for i := range g {
 		g[i] = 2*rng.Float64() - 1
 	}
+	// Accumulate the lower triangle of G·Gᵀ by rank-1 updates over G's
+	// contiguous columns, so each element sums its p = 0…n−1 products in
+	// the same order as a dot product over p would — bitwise the same
+	// result, without striding through G.
+	for j := 0; j < n; j++ {
+		clear(m.Data[j+j*m.Stride : n+j*m.Stride])
+	}
+	for p := 0; p < n; p++ {
+		gp := g[p*n : p*n+n]
+		for j, gj := range gp {
+			gs := gp[j:]
+			col := m.Data[j+j*m.Stride:][:len(gs)]
+			for i, gi := range gs {
+				col[i] += gi * gj
+			}
+		}
+	}
 	inv := 1 / float64(n)
 	for j := 0; j < n; j++ {
 		for i := j; i < n; i++ {
-			var acc float64
-			for p := 0; p < n; p++ {
-				acc += g[i+p*n] * g[j+p*n]
-			}
-			v := acc * inv
+			v := m.Data[i+j*m.Stride] * inv
 			if i == j {
 				v++
 			}
