@@ -130,24 +130,33 @@ func BenchmarkPackA(b *testing.B) {
 }
 
 func BenchmarkTrsm(b *testing.B) {
-	// The blocked solve inherits packed-GEMM speed for the trailing
-	// updates; m²n flops.
-	const m, n = 256, 256
-	rng := xrand.New(9)
-	l := mat.NewRandom(m, m, rng)
-	for i := 0; i < m; i++ {
-		l.Set(i, i, 4+rng.Float64())
+	// m²n flops per solve, in both orientations of a lower factor. Sizes
+	// up to 64 run in the register-blocked small-solve kernel alone; 256
+	// adds the blocked driver's GEMM trailing updates. Each iteration
+	// restores B with an O(mn) copy, which is timed.
+	for _, s := range []int{32, 48, 63, 256} {
+		for _, trans := range []bool{false, true} {
+			name := fmt.Sprintf("L-%d", s)
+			if trans {
+				name = fmt.Sprintf("LT-%d", s)
+			}
+			b.Run(name, func(b *testing.B) {
+				rng := xrand.New(9)
+				l := mat.NewRandom(s, s, rng)
+				for i := 0; i < s; i++ {
+					l.Set(i, i, 4+rng.Float64())
+				}
+				bb := mat.NewRandom(s, s, rng)
+				x := mat.New(s, s)
+				b.ReportAllocs()
+				for b.Loop() {
+					mat.Copy(x, bb)
+					Trsm(mat.Lower, trans, 1, l, x)
+				}
+				reportGFLOPs(b, float64(s)*float64(s)*float64(s))
+			})
+		}
 	}
-	bb := mat.NewRandom(m, n, rng)
-	x := mat.New(m, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		mat.Copy(x, bb)
-		b.StartTimer()
-		Trsm(mat.Lower, false, 1, l, x)
-	}
-	reportGFLOPs(b, float64(m)*float64(m)*float64(n))
 }
 
 func BenchmarkPotrf(b *testing.B) {

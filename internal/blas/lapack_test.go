@@ -21,9 +21,27 @@ func spdMatrix(n int, rng *xrand.Rand) *mat.Dense {
 	return s
 }
 
+// nanPadded returns a view of a copy of src inside a larger matrix whose
+// padding (pad rows and columns on every side) holds NaN, together with
+// that parent matrix.
+func nanPadded(src *mat.Dense, pad int) (view mat.Dense, parent *mat.Dense) {
+	parent = mat.New(src.Rows+2*pad, src.Cols+2*pad)
+	for i := range parent.Data {
+		parent.Data[i] = math.NaN()
+	}
+	view = parent.View(pad, pad+src.Rows, pad, pad+src.Cols)
+	mat.Copy(&view, src)
+	return view, parent
+}
+
+// TestTrsmMatchesNaive covers the small-solve kernel's tile edges
+// (multiples of mr = 8 and one either side) and the blocked driver's
+// block edges (trsmNB = 64), on compact operands and on strided views
+// whose padding, and L's unreferenced triangle, hold NaN.
 func TestTrsmMatchesNaive(t *testing.T) {
 	rng := xrand.New(41)
-	for _, m := range []int{1, 3, 17, 64, 65, 130} {
+	ms := []int{1, 3, 4, 5, 6, 7, 8, 9, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 130}
+	for _, m := range ms {
 		for _, n := range []int{1, 5, 40} {
 			for _, uplo := range []mat.Uplo{mat.Lower, mat.Upper} {
 				for _, trans := range []bool{false, true} {
@@ -39,6 +57,28 @@ func TestTrsmMatchesNaive(t *testing.T) {
 					NaiveTrsm(uplo, trans, 1.5, l, want)
 					if d := mat.MaxAbsDiff(got, want); d > 1e-10 {
 						t.Fatalf("trsm(%v, trans=%v) m=%d n=%d: diff %g", uplo, trans, m, n, d)
+					}
+
+					lv, _ := nanPadded(l, 3)
+					for j := 0; j < m; j++ {
+						for i := 0; i < m; i++ {
+							if (uplo == mat.Lower && i < j) || (uplo == mat.Upper && i > j) {
+								lv.Set(i, j, math.NaN())
+							}
+						}
+					}
+					bv, bparent := nanPadded(b0, 2)
+					Trsm(uplo, trans, 1.5, &lv, &bv)
+					if d := mat.MaxAbsDiff(&bv, want); !(d <= 1e-10) {
+						t.Fatalf("strided trsm(%v, trans=%v) m=%d n=%d: diff %g", uplo, trans, m, n, d)
+					}
+					for j := 0; j < bparent.Cols; j++ {
+						for i := 0; i < bparent.Rows; i++ {
+							inside := i >= 2 && i < 2+m && j >= 2 && j < 2+n
+							if !inside && !math.IsNaN(bparent.At(i, j)) {
+								t.Fatalf("strided trsm(%v, trans=%v) m=%d n=%d wrote padding (%d,%d)", uplo, trans, m, n, i, j)
+							}
+						}
 					}
 				}
 			}

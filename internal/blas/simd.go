@@ -2,8 +2,9 @@ package blas
 
 // This file holds the portable implementations of the small SIMD
 // primitives shared by the packing routines and the triangular kernels:
-// contiguous axpy and dot, the fused rank-4 column update of the
-// unblocked Cholesky, and the four full-panel packing kernels. On amd64
+// contiguous axpy, the fused rank-4 column update of the
+// unblocked Cholesky, the 8×4 tile solve of the small-solve TRSM, and the
+// four full-panel packing kernels. On amd64
 // with AVX2+FMA the dispatch wrappers (simd_amd64.go) route to hand-
 // written assembly; everywhere else these generic bodies run.
 
@@ -15,16 +16,6 @@ func axpyGeneric(y, x []float64, alpha float64) {
 	}
 }
 
-// dotGeneric returns Σ x[i]·y[i] over len(x) elements.
-func dotGeneric(x, y []float64) float64 {
-	y = y[:len(x)]
-	var s float64
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s
-}
-
 // rank4Generic applies a fused rank-4 update to y: with x holding four
 // columns at the given stride (column t starts at x[t·stride]),
 // y[i] += Σ_t alphas[t]·x[t·stride+i] over len(y) elements.
@@ -33,6 +24,44 @@ func rank4Generic(y, x []float64, stride int, alphas *[4]float64) {
 	a0, a1, a2, a3 := alphas[0], alphas[1], alphas[2], alphas[3]
 	for i := range y {
 		y[i] += a0*x0[i] + a1*x1[i] + a2*x2[i] + a3*x3[i]
+	}
+}
+
+// trsmTile8x4Generic solves one 8×4 tile of a triangular solve, held
+// row-major in x (x[r·4+s] is row r, column s). It first subtracts the
+// already-solved rows, x[r·4+s] -= Σ_p ap[p·8+r]·xs[p·4+s] over p in
+// [0, k), with ap a packed 8-row micro-panel (packA layout) and xs the
+// solved rows in x's row-major layout. It then solves the tile against
+// the column-major 8×8 diagonal block d, whose diagonal holds reciprocal
+// pivots: top down for a lower-triangular block, or bottom up over the
+// upper triangle when backward is set.
+func trsmTile8x4Generic(ap, xs []float64, k int, d *[mr * mr]float64, x *[mr * nr]float64, backward bool) {
+	for p := 0; p < k; p++ {
+		a := ap[p*mr : p*mr+mr : p*mr+mr]
+		xp := xs[p*nr : p*nr+nr : p*nr+nr]
+		for r, ar := range a {
+			xr := x[r*nr : r*nr+nr : r*nr+nr]
+			for s, v := range xp {
+				xr[s] -= ar * v
+			}
+		}
+	}
+	for i := 0; i < mr; i++ {
+		c, lo, hi := i, i+1, mr
+		if backward {
+			c = mr - 1 - i
+			lo, hi = 0, c
+		}
+		xc := x[c*nr : c*nr+nr : c*nr+nr]
+		for s := range xc {
+			xc[s] *= d[c+c*mr]
+		}
+		for r := lo; r < hi; r++ {
+			xr := x[r*nr : r*nr+nr : r*nr+nr]
+			for s, v := range xc {
+				xr[s] -= d[r+c*mr] * v
+			}
+		}
 	}
 }
 

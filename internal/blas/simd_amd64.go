@@ -14,12 +14,6 @@ import "lamb/internal/mat"
 //go:noescape
 func axpyAVX(y, x *float64, n int, alpha float64)
 
-// dotAVX returns Σ x[i]·y[i] for i in [0, n).
-// Implemented in simd_amd64.s.
-//
-//go:noescape
-func dotAVX(x, y *float64, n int) float64
-
 // rank4AVX computes y[i] += Σ_t alphas[t]·x[t·stride+i] for i in [0, n).
 // Implemented in simd_amd64.s.
 //
@@ -77,6 +71,13 @@ func packContig4AVX(dst, src *float64, k, stride int)
 //go:noescape
 func packStreams4AVX(dst, src *float64, k, stride, dstStride int)
 
+// trsmTile8x4AVX solves one row-major 8×4 tile of a triangular solve in
+// registers; see trsmTile8x4Generic for the contract. Implemented in
+// simd_amd64.s.
+//
+//go:noescape
+func trsmTile8x4AVX(ap, xs *float64, k int, d, x *float64, backward bool)
+
 // axpy computes y[i] += alpha·x[i] over len(x) elements.
 func axpy(y, x []float64, alpha float64) {
 	if haveAVX2FMA && len(x) > 0 {
@@ -84,14 +85,6 @@ func axpy(y, x []float64, alpha float64) {
 		return
 	}
 	axpyGeneric(y, x, alpha)
-}
-
-// dot returns Σ x[i]·y[i] over len(x) elements.
-func dot(x, y []float64) float64 {
-	if haveAVX2FMA && len(x) > 0 {
-		return dotAVX(&x[0], &y[0], len(x))
-	}
-	return dotGeneric(x, y)
 }
 
 // rank4 applies the fused rank-4 update y[i] += Σ_t alphas[t]·x[t·stride+i]
@@ -137,4 +130,17 @@ func packPanelB4T(dst, src []float64, k, stride int) {
 		return
 	}
 	packPanelB4TGeneric(dst, src, k, stride)
+}
+
+func trsmTile8x4(ap, xs []float64, k int, d *[mr * mr]float64, x *[mr * nr]float64, backward bool) {
+	if haveAVX2FMA {
+		// k == 0 leaves ap and xs unread; index them only when non-empty.
+		var a, xp *float64
+		if k > 0 {
+			a, xp = &ap[0], &xs[0]
+		}
+		trsmTile8x4AVX(a, xp, k, &d[0], &x[0], backward)
+		return
+	}
+	trsmTile8x4Generic(ap, xs, k, d, x, backward)
 }

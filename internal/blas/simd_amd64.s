@@ -1,9 +1,10 @@
 // AVX2/FMA SIMD primitives shared by the packing routines and the
-// triangular kernels: contiguous axpy and dot, the fused rank-4 column
-// update of the unblocked Cholesky, and the full-panel packing kernels
-// (contiguous copies and 4-stream register transposes). Feature
-// detection is done once at startup via cpuHasAVX2FMA (ukernel_amd64.s);
-// the Go wrappers in simd_amd64.go fall back to portable bodies.
+// triangular kernels: contiguous axpy, the fused rank-4 column
+// update of the unblocked Cholesky, the full-panel packing kernels
+// (contiguous copies and 4-stream register transposes), and the 8×4
+// tile solve of the small-solve TRSM. Feature detection is done once at
+// startup via cpuHasAVX2FMA (ukernel_amd64.s); the Go wrappers in
+// simd_amd64.go fall back to portable bodies.
 
 #include "textflag.h"
 
@@ -47,52 +48,6 @@ tail1:
 	JNZ         tail1
 
 done:
-	VZEROUPPER
-	RET
-
-// func dotAVX(x, y *float64, n int) float64
-//
-// Returns sum x[i]*y[i] for i in [0, n). Two vector accumulators, then a
-// horizontal reduction and a scalar tail folded into the low lane.
-TEXT ·dotAVX(SB), NOSPLIT, $0-32
-	MOVQ   x+0(FP), SI
-	MOVQ   y+8(FP), DI
-	MOVQ   n+16(FP), CX
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	MOVQ   CX, R9
-	SHRQ   $3, R9
-	JZ     reduce
-
-loop8:
-	VMOVUPD     (SI), Y2
-	VMOVUPD     32(SI), Y3
-	VFMADD231PD (DI), Y2, Y0
-	VFMADD231PD 32(DI), Y3, Y1
-	ADDQ        $64, SI
-	ADDQ        $64, DI
-	DECQ        R9
-	JNZ         loop8
-
-reduce:
-	VADDPD       Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD       X1, X0, X0
-	VHADDPD      X0, X0, X0
-	ANDQ         $7, CX
-	JZ           done
-
-tail1:
-	VMOVSD       (SI), X1
-	VMOVSD       (DI), X2
-	VFMADD231SD X2, X1, X0
-	ADDQ        $8, SI
-	ADDQ        $8, DI
-	DECQ        CX
-	JNZ         tail1
-
-done:
-	VMOVSD X0, ret+24(FP)
 	VZEROUPPER
 	RET
 
@@ -329,5 +284,218 @@ tail1:
 	JNZ   tail1
 
 done:
+	VZEROUPPER
+	RET
+
+// func trsmTile8x4AVX(ap, xs *float64, k int, d, x *float64, backward bool)
+//
+// Solves one 8×4 tile of a triangular solve held row-major at x (row r
+// is x[4r:4r+4], one YMM register each). First the already-solved rows
+// are subtracted, R_r -= sum_p ap[p*8+r] * xs[4p:4p+4] for p in [0, k)
+// (ap a packed 8-row micro-panel, xs the solved rows in the same
+// row-major layout). Then the tile is solved against the column-major
+// 8x8 diagonal block d, whose diagonal holds reciprocal pivots: top down
+// (R_c *= d[c,c]; R_r -= d[r,c]*R_c for r > c) or, when backward is set,
+// bottom up over r < c.
+TEXT ·trsmTile8x4AVX(SB), NOSPLIT, $0-41
+	MOVQ         ap+0(FP), SI
+	MOVQ         xs+8(FP), DI
+	MOVQ         k+16(FP), CX
+	MOVQ         d+24(FP), DX
+	MOVQ         x+32(FP), BX
+	VMOVUPD      (BX), Y0
+	VMOVUPD      32(BX), Y1
+	VMOVUPD      64(BX), Y2
+	VMOVUPD      96(BX), Y3
+	VMOVUPD      128(BX), Y4
+	VMOVUPD      160(BX), Y5
+	VMOVUPD      192(BX), Y6
+	VMOVUPD      224(BX), Y7
+	TESTQ        CX, CX
+	JZ           solve
+
+update:
+	VMOVUPD      (DI), Y8
+	VBROADCASTSD 0(SI), Y9
+	VFNMADD231PD Y8, Y9, Y0
+	VBROADCASTSD 8(SI), Y10
+	VFNMADD231PD Y8, Y10, Y1
+	VBROADCASTSD 16(SI), Y11
+	VFNMADD231PD Y8, Y11, Y2
+	VBROADCASTSD 24(SI), Y12
+	VFNMADD231PD Y8, Y12, Y3
+	VBROADCASTSD 32(SI), Y9
+	VFNMADD231PD Y8, Y9, Y4
+	VBROADCASTSD 40(SI), Y10
+	VFNMADD231PD Y8, Y10, Y5
+	VBROADCASTSD 48(SI), Y11
+	VFNMADD231PD Y8, Y11, Y6
+	VBROADCASTSD 56(SI), Y12
+	VFNMADD231PD Y8, Y12, Y7
+	ADDQ         $64, SI
+	ADDQ         $32, DI
+	DECQ         CX
+	JNZ          update
+
+solve:
+	CMPB         backward+40(FP), $0
+	JNE          backsolve
+	VBROADCASTSD 0(DX), Y9
+	VMULPD       Y9, Y0, Y0
+	VBROADCASTSD 8(DX), Y10
+	VFNMADD231PD Y0, Y10, Y1
+	VBROADCASTSD 16(DX), Y11
+	VFNMADD231PD Y0, Y11, Y2
+	VBROADCASTSD 24(DX), Y12
+	VFNMADD231PD Y0, Y12, Y3
+	VBROADCASTSD 32(DX), Y13
+	VFNMADD231PD Y0, Y13, Y4
+	VBROADCASTSD 40(DX), Y10
+	VFNMADD231PD Y0, Y10, Y5
+	VBROADCASTSD 48(DX), Y11
+	VFNMADD231PD Y0, Y11, Y6
+	VBROADCASTSD 56(DX), Y12
+	VFNMADD231PD Y0, Y12, Y7
+	VBROADCASTSD 72(DX), Y9
+	VMULPD       Y9, Y1, Y1
+	VBROADCASTSD 80(DX), Y10
+	VFNMADD231PD Y1, Y10, Y2
+	VBROADCASTSD 88(DX), Y11
+	VFNMADD231PD Y1, Y11, Y3
+	VBROADCASTSD 96(DX), Y12
+	VFNMADD231PD Y1, Y12, Y4
+	VBROADCASTSD 104(DX), Y13
+	VFNMADD231PD Y1, Y13, Y5
+	VBROADCASTSD 112(DX), Y10
+	VFNMADD231PD Y1, Y10, Y6
+	VBROADCASTSD 120(DX), Y11
+	VFNMADD231PD Y1, Y11, Y7
+	VBROADCASTSD 144(DX), Y9
+	VMULPD       Y9, Y2, Y2
+	VBROADCASTSD 152(DX), Y10
+	VFNMADD231PD Y2, Y10, Y3
+	VBROADCASTSD 160(DX), Y11
+	VFNMADD231PD Y2, Y11, Y4
+	VBROADCASTSD 168(DX), Y12
+	VFNMADD231PD Y2, Y12, Y5
+	VBROADCASTSD 176(DX), Y13
+	VFNMADD231PD Y2, Y13, Y6
+	VBROADCASTSD 184(DX), Y10
+	VFNMADD231PD Y2, Y10, Y7
+	VBROADCASTSD 216(DX), Y9
+	VMULPD       Y9, Y3, Y3
+	VBROADCASTSD 224(DX), Y10
+	VFNMADD231PD Y3, Y10, Y4
+	VBROADCASTSD 232(DX), Y11
+	VFNMADD231PD Y3, Y11, Y5
+	VBROADCASTSD 240(DX), Y12
+	VFNMADD231PD Y3, Y12, Y6
+	VBROADCASTSD 248(DX), Y13
+	VFNMADD231PD Y3, Y13, Y7
+	VBROADCASTSD 288(DX), Y9
+	VMULPD       Y9, Y4, Y4
+	VBROADCASTSD 296(DX), Y10
+	VFNMADD231PD Y4, Y10, Y5
+	VBROADCASTSD 304(DX), Y11
+	VFNMADD231PD Y4, Y11, Y6
+	VBROADCASTSD 312(DX), Y12
+	VFNMADD231PD Y4, Y12, Y7
+	VBROADCASTSD 360(DX), Y9
+	VMULPD       Y9, Y5, Y5
+	VBROADCASTSD 368(DX), Y10
+	VFNMADD231PD Y5, Y10, Y6
+	VBROADCASTSD 376(DX), Y11
+	VFNMADD231PD Y5, Y11, Y7
+	VBROADCASTSD 432(DX), Y9
+	VMULPD       Y9, Y6, Y6
+	VBROADCASTSD 440(DX), Y10
+	VFNMADD231PD Y6, Y10, Y7
+	VBROADCASTSD 504(DX), Y9
+	VMULPD       Y9, Y7, Y7
+	JMP          store
+
+backsolve:
+	VBROADCASTSD 504(DX), Y9
+	VMULPD       Y9, Y7, Y7
+	VBROADCASTSD 448(DX), Y10
+	VFNMADD231PD Y7, Y10, Y0
+	VBROADCASTSD 456(DX), Y11
+	VFNMADD231PD Y7, Y11, Y1
+	VBROADCASTSD 464(DX), Y12
+	VFNMADD231PD Y7, Y12, Y2
+	VBROADCASTSD 472(DX), Y13
+	VFNMADD231PD Y7, Y13, Y3
+	VBROADCASTSD 480(DX), Y10
+	VFNMADD231PD Y7, Y10, Y4
+	VBROADCASTSD 488(DX), Y11
+	VFNMADD231PD Y7, Y11, Y5
+	VBROADCASTSD 496(DX), Y12
+	VFNMADD231PD Y7, Y12, Y6
+	VBROADCASTSD 432(DX), Y9
+	VMULPD       Y9, Y6, Y6
+	VBROADCASTSD 384(DX), Y10
+	VFNMADD231PD Y6, Y10, Y0
+	VBROADCASTSD 392(DX), Y11
+	VFNMADD231PD Y6, Y11, Y1
+	VBROADCASTSD 400(DX), Y12
+	VFNMADD231PD Y6, Y12, Y2
+	VBROADCASTSD 408(DX), Y13
+	VFNMADD231PD Y6, Y13, Y3
+	VBROADCASTSD 416(DX), Y10
+	VFNMADD231PD Y6, Y10, Y4
+	VBROADCASTSD 424(DX), Y11
+	VFNMADD231PD Y6, Y11, Y5
+	VBROADCASTSD 360(DX), Y9
+	VMULPD       Y9, Y5, Y5
+	VBROADCASTSD 320(DX), Y10
+	VFNMADD231PD Y5, Y10, Y0
+	VBROADCASTSD 328(DX), Y11
+	VFNMADD231PD Y5, Y11, Y1
+	VBROADCASTSD 336(DX), Y12
+	VFNMADD231PD Y5, Y12, Y2
+	VBROADCASTSD 344(DX), Y13
+	VFNMADD231PD Y5, Y13, Y3
+	VBROADCASTSD 352(DX), Y10
+	VFNMADD231PD Y5, Y10, Y4
+	VBROADCASTSD 288(DX), Y9
+	VMULPD       Y9, Y4, Y4
+	VBROADCASTSD 256(DX), Y10
+	VFNMADD231PD Y4, Y10, Y0
+	VBROADCASTSD 264(DX), Y11
+	VFNMADD231PD Y4, Y11, Y1
+	VBROADCASTSD 272(DX), Y12
+	VFNMADD231PD Y4, Y12, Y2
+	VBROADCASTSD 280(DX), Y13
+	VFNMADD231PD Y4, Y13, Y3
+	VBROADCASTSD 216(DX), Y9
+	VMULPD       Y9, Y3, Y3
+	VBROADCASTSD 192(DX), Y10
+	VFNMADD231PD Y3, Y10, Y0
+	VBROADCASTSD 200(DX), Y11
+	VFNMADD231PD Y3, Y11, Y1
+	VBROADCASTSD 208(DX), Y12
+	VFNMADD231PD Y3, Y12, Y2
+	VBROADCASTSD 144(DX), Y9
+	VMULPD       Y9, Y2, Y2
+	VBROADCASTSD 128(DX), Y10
+	VFNMADD231PD Y2, Y10, Y0
+	VBROADCASTSD 136(DX), Y11
+	VFNMADD231PD Y2, Y11, Y1
+	VBROADCASTSD 72(DX), Y9
+	VMULPD       Y9, Y1, Y1
+	VBROADCASTSD 64(DX), Y10
+	VFNMADD231PD Y1, Y10, Y0
+	VBROADCASTSD 0(DX), Y9
+	VMULPD       Y9, Y0, Y0
+
+store:
+	VMOVUPD      Y0, 0(BX)
+	VMOVUPD      Y1, 32(BX)
+	VMOVUPD      Y2, 64(BX)
+	VMOVUPD      Y3, 96(BX)
+	VMOVUPD      Y4, 128(BX)
+	VMOVUPD      Y5, 160(BX)
+	VMOVUPD      Y6, 192(BX)
+	VMOVUPD      Y7, 224(BX)
 	VZEROUPPER
 	RET

@@ -16,8 +16,6 @@ func mergeTileFull(tile *[mr * nr]float64, rowsA, colsB int, alpha, betaEff floa
 
 func axpy(y, x []float64, alpha float64) { axpyGeneric(y, x, alpha) }
 
-func dot(x, y []float64) float64 { return dotGeneric(x, y) }
-
 func rank4(y, x []float64, stride int, alphas *[4]float64) {
 	rank4Generic(y, x, stride, alphas)
 }
@@ -29,3 +27,7 @@ func packPanelA8T(dst, src []float64, k, stride int) { packPanelA8TGeneric(dst, 
 func packPanelB4(dst, src []float64, k, stride int) { packPanelB4Generic(dst, src, k, stride) }
 
 func packPanelB4T(dst, src []float64, k, stride int) { packPanelB4TGeneric(dst, src, k, stride) }
+
+func trsmTile8x4(ap, xs []float64, k int, d *[mr * mr]float64, x *[mr * nr]float64, backward bool) {
+	trsmTile8x4Generic(ap, xs, k, d, x, backward)
+}

@@ -157,6 +157,8 @@ func TestMeasuredTimeAlgorithmZeroAllocs(t *testing.T) {
 		{"chain", expr.NewChainABCD().Algorithms(expr.Instance{24, 16, 20, 12, 8})},
 		{"aatb", expr.NewAATB().Algorithms(expr.Instance{24, 16, 8})},
 		{"lstsq", expr.NewLstSq().Algorithms(expr.Instance{32, 16, 8})},
+		// POTRF, both TRSM orientations, AddSym and an SPD operand fill.
+		{"gls", expr.NewGLS().Algorithms(expr.Instance{40, 24, 16, 8})},
 	} {
 		for i := range tc.algs {
 			alg := &tc.algs[i]
@@ -186,6 +188,7 @@ func TestMeasuredTimeCallColdZeroAllocs(t *testing.T) {
 		kernels.NewSymm(24, 16, "A", "B", "C"),
 		kernels.NewTri2Full(24, "C"),
 		kernels.NewPotrf(24, "S"),
+		kernels.NewTrsm(24, 16, "L", "B", false),
 		kernels.NewTrsm(24, 16, "L", "B", true),
 		kernels.NewAddSym(24, "C", "A"),
 	} {

@@ -7,10 +7,7 @@ import "lamb/internal/xrand"
 // this way; only sizes, never element values, affect kernel timing.
 func (m *Dense) FillRandom(rng *xrand.Rand) {
 	for j := 0; j < m.Cols; j++ {
-		col := m.Data[j*m.Stride : j*m.Stride+m.Rows]
-		for i := range col {
-			col[i] = 2*rng.Float64() - 1
-		}
+		rng.FillSigned(m.Data[j*m.Stride : j*m.Stride+m.Rows])
 	}
 }
 
@@ -37,6 +34,15 @@ func NewSPDRandom(n int, rng *xrand.Rand) *Dense {
 // elements; passing a reusable buffer makes repeated fills allocation-
 // free (the execution-plan executor refills SPD inputs this way on
 // every repetition).
+//
+// Each element of G·Gᵀ sums its products over p = 0…n−1 in order. On
+// amd64 with AVX an 8×4 register tile kernel computes the lower
+// triangle, keeping that order in every vector lane. It uses separate
+// multiplies and adds, never FMA: the portable loop rounds each product
+// before adding it, and a fused multiply-add would skip that rounding,
+// changing the bits of every SPD operand and so of every result computed
+// from one. The portable loop stays the path on other platforms and on
+// CPUs without AVX.
 func (m *Dense) FillSPD(scratch []float64, rng *xrand.Rand) {
 	n := m.Rows
 	if m.Cols != n {
@@ -46,13 +52,27 @@ func (m *Dense) FillSPD(scratch []float64, rng *xrand.Rand) {
 		panic("mat: FillSPD scratch too short")
 	}
 	g := scratch[:n*n]
-	for i := range g {
-		g[i] = 2*rng.Float64() - 1
+	rng.FillSigned(g)
+	fillGramSPD(m, g)
+}
+
+// spdEntry finishes one element of G·Gᵀ/n + I from its Gram sum acc.
+// Every fill path goes through it, so they round alike.
+func spdEntry(acc, inv float64, diag bool) float64 {
+	v := acc * inv
+	if diag {
+		v++
 	}
-	// Accumulate the lower triangle of G·Gᵀ by rank-1 updates over G's
-	// contiguous columns, so each element sums its p = 0…n−1 products in
-	// the same order as a dot product over p would — bitwise the same
-	// result, without striding through G.
+	return v
+}
+
+// fillGramSPDGeneric sets the n×n matrix m to G·Gᵀ/n + I, for G the n×n
+// column-major matrix g. It accumulates the lower triangle by rank-1
+// updates over G's contiguous columns, so each element sums its
+// p = 0…n−1 products in the same order as a dot product over p would,
+// without striding through G; then it finishes and mirrors it.
+func fillGramSPDGeneric(m *Dense, g []float64) {
+	n := m.Rows
 	for j := 0; j < n; j++ {
 		clear(m.Data[j+j*m.Stride : n+j*m.Stride])
 	}
@@ -69,10 +89,7 @@ func (m *Dense) FillSPD(scratch []float64, rng *xrand.Rand) {
 	inv := 1 / float64(n)
 	for j := 0; j < n; j++ {
 		for i := j; i < n; i++ {
-			v := m.Data[i+j*m.Stride] * inv
-			if i == j {
-				v++
-			}
+			v := spdEntry(m.Data[i+j*m.Stride], inv, i == j)
 			m.Data[i+j*m.Stride] = v
 			m.Data[j+i*m.Stride] = v
 		}

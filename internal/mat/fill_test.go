@@ -64,6 +64,43 @@ func TestFillSPDMatchesReference(t *testing.T) {
 	}
 }
 
+// TestFillRandomMatchesPerElementDraws pins FillRandom's block fill to
+// the per-element stream 2·Float64()−1, column by column, on a strided
+// view whose padding must stay untouched.
+func TestFillRandomMatchesPerElementDraws(t *testing.T) {
+	parent := New(13, 9)
+	for i := range parent.Data {
+		parent.Data[i] = math.Inf(1)
+	}
+	v := parent.View(2, 12, 1, 8)
+	v.FillRandom(xrand.New(7))
+	ref := xrand.New(7)
+	for j := 0; j < v.Cols; j++ {
+		for i := 0; i < v.Rows; i++ {
+			if got, want := v.At(i, j), 2*ref.Float64()-1; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("(%d,%d) = %v, per-element draw %v", i, j, got, want)
+			}
+		}
+	}
+	for j := 0; j < parent.Cols; j++ {
+		for i := 0; i < parent.Rows; i++ {
+			inside := i >= 2 && i < 12 && j >= 1 && j < 8
+			if !inside && !math.IsInf(parent.At(i, j), 1) {
+				t.Fatalf("padding (%d,%d) overwritten with %v", i, j, parent.At(i, j))
+			}
+		}
+	}
+}
+
+// BenchmarkFillRandom times one dense random fill.
+func BenchmarkFillRandom(b *testing.B) {
+	m := New(96, 96)
+	rng := xrand.New(1)
+	for b.Loop() {
+		m.FillRandom(rng)
+	}
+}
+
 // BenchmarkFillSPD times one SPD fill at the sizes the fused batches
 // refill per instance.
 func BenchmarkFillSPD(b *testing.B) {

@@ -80,6 +80,20 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
+// FillSigned fills dst with uniform values in [-1, 1): dst[i] is
+// 2·Float64()−1 of the i-th draw, the same stream and bits as drawing
+// element by element. Holding the state in a local keeps the loop free
+// of loads and stores through r, and one scaling by 2⁻⁵² replaces
+// Float64's 2⁻⁵³ and the doubling: both are exact, so the bits agree.
+func (r *Rand) FillSigned(dst []float64) {
+	s := r.state
+	for i := range dst {
+		s += 0x9e3779b97f4a7c15
+		dst[i] = float64(mix(s)>>11)*0x1p-52 - 1
+	}
+	r.state = s
+}
+
 // NormFloat64 returns a standard normal variate (Marsaglia polar method).
 func (r *Rand) NormFloat64() float64 {
 	for {
