@@ -82,9 +82,6 @@ type Config struct {
 	// PlanEntries bounds the compiled whole-algorithm plan LRU
 	// (default 32).
 	PlanEntries int
-	// CallPlanEntries bounds the compiled single-call plan LRU
-	// (default 32).
-	CallPlanEntries int
 	// Profiles, if set, enables the profile-backed strategies:
 	// "min-predicted" (FLOPs combined with kernel performance profiles —
 	// the paper's proposed discriminant) and "adaptive" (that prediction
@@ -94,10 +91,6 @@ type Config struct {
 	// loaded alongside a persisted store); surfaced in Stats and in the
 	// records of profile-backed queries.
 	ProfileMeta profile.Meta
-	// AdaptiveRadius is the log-shape distance within which recorded
-	// outcomes inform an adaptive choice (default
-	// selection.DefaultAdaptiveRadius).
-	AdaptiveRadius float64
 	// FeedbackEntries bounds the feedback outcome store (default 4096
 	// distinct (expression, instance) records, least-recently-touched
 	// evicted).
@@ -374,9 +367,8 @@ type Engine struct {
 	// queries load it once at entry, ReloadProfiles swaps it atomically,
 	// in-flight queries finish on the state they started with. reloadGen
 	// counts installations.
-	prof           atomic.Pointer[profileState]
-	reloadGen      atomic.Uint64
-	adaptiveRadius float64
+	prof      atomic.Pointer[profileState]
+	reloadGen atomic.Uint64
 }
 
 // bindKey identifies a bound algorithm set: canonical expression name
@@ -412,7 +404,7 @@ func New(cfg Config) *Engine {
 		outcomes: outcomes.NewStore(feedbackEntries, cfg.OutcomeHalfLife),
 	}
 	if m, ok := ex.(*exec.Measured); ok {
-		if cfg.PlanEntries <= 0 && cfg.CallPlanEntries <= 0 && m.Plans != nil {
+		if cfg.PlanEntries <= 0 && m.Plans != nil {
 			// Adopt the executor's cache: plans compiled before the
 			// engine existed (e.g. profile measurement) stay warm, and
 			// a second engine over the same executor shares — rather
@@ -423,17 +415,9 @@ func New(cfg Config) *Engine {
 			if planEntries <= 0 {
 				planEntries = DefaultPlanEntries
 			}
-			callEntries := cfg.CallPlanEntries
-			if callEntries <= 0 {
-				callEntries = DefaultCallPlanEntries
-			}
-			m.Plans = exec.NewPlanCache(planEntries, callEntries)
+			m.Plans = exec.NewPlanCache(planEntries, DefaultCallPlanEntries)
 			e.plans = m.Plans
 		}
-	}
-	e.adaptiveRadius = cfg.AdaptiveRadius
-	if e.adaptiveRadius <= 0 {
-		e.adaptiveRadius = selection.DefaultAdaptiveRadius
 	}
 	e.exploreEvery = exploreInterval(cfg.ExploreRate)
 	if cfg.Profiles != nil {
@@ -652,9 +636,9 @@ func (e *Engine) resolveStrategy(strat string, st *profileState) (strategyRun, e
 			e.adaptiveQueries.Add(1)
 			return selection.Adaptive{
 				Prior:  st.predicted,
-				Radius: e.adaptiveRadius,
+				Radius: selection.DefaultAdaptiveRadius,
 				Observe: func(inst expr.Instance) []selection.Observation {
-					obs := e.outcomes.Near(exprName, inst, e.adaptiveRadius)
+					obs := e.outcomes.Near(exprName, inst, selection.DefaultAdaptiveRadius)
 					if len(obs) > 0 {
 						e.adaptiveInformed.Add(1)
 					}

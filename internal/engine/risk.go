@@ -80,9 +80,9 @@ func (e *Engine) riskPosterior(exprName string, inst expr.Instance, algs []expr.
 	}
 	ad := selection.Adaptive{
 		Prior:  prior,
-		Radius: e.adaptiveRadius,
+		Radius: selection.DefaultAdaptiveRadius,
 		Observe: func(inst expr.Instance) []selection.Observation {
-			return e.outcomes.Near(exprName, inst, e.adaptiveRadius)
+			return e.outcomes.Near(exprName, inst, selection.DefaultAdaptiveRadius)
 		},
 	}
 	return ad.Posterior(inst, algs)

@@ -85,25 +85,7 @@ func NewTimer(e Executor) *Timer { return &Timer{Exec: e, Reps: 10} }
 // MeasureAlgorithm times the algorithm, returning the median total and
 // median per-call times.
 func (t *Timer) MeasureAlgorithm(alg *expr.Algorithm) Measurement {
-	reps := t.reps()
-	totals := make([]float64, reps)
-	perCall := make([][]float64, len(alg.Calls))
-	for i := range perCall {
-		perCall[i] = make([]float64, reps)
-	}
-	for r := 0; r < reps; r++ {
-		times := t.Exec.TimeAlgorithm(alg, uint64(r))
-		var sum float64
-		for i, ct := range times {
-			perCall[i][r] = ct
-			sum += ct
-		}
-		totals[r] = sum
-	}
-	m := Measurement{Total: stats.Median(totals), PerCall: make([]float64, len(alg.Calls))}
-	for i := range perCall {
-		m.PerCall[i] = stats.Median(perCall[i])
-	}
+	m, _ := t.MeasureAlgorithmCtx(context.Background(), alg)
 	return m
 }
 

@@ -14,6 +14,17 @@ const (
 	breakerHalfOpen
 )
 
+// Breaker tuning, the same for every backend: the sliding outcome
+// window per backend, the samples it needs before it may trip, the
+// failure fraction that opens it, and the fail-fast period before a
+// half-open trial.
+const (
+	breakerWindow     = 20
+	breakerMinSamples = 5
+	breakerTripRatio  = 0.5
+	breakerOpenFor    = 2 * time.Second
+)
+
 // breakerStateNames render the state for /api/v1/stats.
 var breakerStateNames = [...]string{"closed", "open", "half-open"}
 

@@ -30,15 +30,16 @@ func (rt *Router) gossipLoop() {
 		case <-rt.stop:
 			return
 		case <-t.C:
-			rt.mergeRound(context.Background())
+			rt.MergeRound(context.Background())
 		}
 	}
 }
 
-// mergeRound runs one full exchange. Errors are counted, never fatal:
-// gossip is a background repair process, and a failed round just means
-// the next one has more to do.
-func (rt *Router) mergeRound(ctx context.Context) {
+// MergeRound runs one full exchange synchronously; the gossip loop
+// calls it every MergeEvery, and tests call it to force convergence
+// now. Errors are counted, never fatal: gossip is a background repair
+// process, and a failed round just means the next one has more to do.
+func (rt *Router) MergeRound(ctx context.Context) {
 	rt.mergeRounds.Add(1)
 	var ups []*backendState
 	for _, b := range rt.backends {
@@ -101,11 +102,4 @@ func (rt *Router) pushMerge(ctx context.Context, dst *backendState, source strin
 		return 0, err
 	}
 	return counts.Merged, nil
-}
-
-// MergeRound runs one gossip exchange synchronously — the knob tests
-// and operators (via the route command's future admin surface) use to
-// force convergence now instead of waiting for the ticker.
-func (rt *Router) MergeRound(ctx context.Context) {
-	rt.mergeRound(ctx)
 }

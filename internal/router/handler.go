@@ -69,27 +69,13 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := httpjson.Context(r, q.TimeoutMs, 0)
 	defer cancel()
-	key := shardKey(q.Expr, q.Instance)
-	cands := rt.ring.candidates(key)
-	// Hedging is reserved for queries where tail latency is worth
-	// doubled backend work: timed strategies (an oracle query's latency
-	// is backend-side measurement, the work a straggler stretches into
-	// the tail) and adaptive queries in regions the engine itself
-	// reported low confidence for — an uncertain answer arriving late is
-	// the worst of both.
+	cands := rt.ring.candidates(shardKey(q.Expr, q.Instance))
+	// Only timed strategies are worth doubled backend work: an oracle
+	// query's latency is backend-side measurement, the work a straggler
+	// stretches into the tail; every other answer costs microseconds.
 	hedge := q.Strategy == "oracle"
-	if !hedge && q.Strategy == "adaptive" && rt.cfg.HedgeAfter > 0 && rt.lowConfidence(key) {
-		hedge = true
-		rt.lowConfHedges.Add(1)
-	}
 	res := rt.forward(ctx, cands, "/api/v1/query", body, hedge)
 	if res.err == nil {
-		// The record (confidence included) is relayed untouched; with
-		// hedging armed the router also remembers the confidence to
-		// steer future hedging.
-		if rt.cfg.HedgeAfter > 0 {
-			rt.observeConfidence(key, res)
-		}
 		relay(w, res)
 		return
 	}

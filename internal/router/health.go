@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -56,6 +57,10 @@ func (rt *Router) probeOne(b *backendState) {
 			// failure, steering shard-owner traffic at the first retry
 			// candidate until the backend has headroom again.
 			ok = resp.StatusCode >= 200 && resp.StatusCode < 300
+			// Drain the body so the transport can reuse the connection;
+			// closing it unread makes every probe dial anew. The cap
+			// keeps an oversized body from stalling the prober.
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
 			resp.Body.Close()
 		}
 	}

@@ -3,7 +3,6 @@ package router
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -43,13 +42,13 @@ type Config struct {
 	BackoffMax     time.Duration
 	AttemptTimeout time.Duration
 
-	// HedgeAfter, when positive, arms tail-latency hedging: if the
-	// owning shard hasn't answered within HedgeAfter, the same query
-	// races on the next candidate and the first success wins. Hedging
-	// applies to timed strategies (oracle) and to adaptive queries whose
-	// last answer for the shard key reported confidence below
-	// DefaultHedgeConfidence. Off by default — hedging doubles backend
-	// work, worth it only when tail latency matters more.
+	// HedgeAfter, when positive, arms tail-latency hedging of oracle
+	// queries: if the owning shard hasn't answered one within
+	// HedgeAfter, the same query races on the next candidate and the
+	// first success wins. Only oracle answers are measured, so only
+	// they are slow enough for a straggler to matter. Off by default —
+	// hedging doubles backend work, worth it only when tail latency
+	// matters more.
 	HedgeAfter time.Duration
 
 	// MergeEvery, when positive, runs the anti-entropy gossip loop:
@@ -63,19 +62,6 @@ type Config struct {
 	// when no backend can answer: selection keeps working on the
 	// profile-less min-flops discriminant, stamped Degraded "no-backend".
 	Local *engine.Engine
-
-	// Client issues all backend HTTP traffic (default: a dedicated
-	// client; timeouts come from AttemptTimeout contexts).
-	Client *http.Client
-
-	// Breaker tuning: window is the sliding outcome window per backend
-	// (default 20), minSamples gates tripping (default 5), tripRatio is
-	// the failure fraction that opens it (default 0.5), openFor is the
-	// fail-fast period before a half-open trial (default 2s).
-	BreakerWindow     int
-	BreakerMinSamples int
-	BreakerTripRatio  float64
-	BreakerOpenFor    time.Duration
 }
 
 // DegradedNoBackend stamps records the router answered from its local
@@ -113,58 +99,10 @@ type Router struct {
 	retriesTotal   atomic.Uint64
 	hedged         atomic.Uint64
 	hedgeWins      atomic.Uint64
-	lowConfHedges  atomic.Uint64
 	degraded       atomic.Uint64
 	mergeRounds    atomic.Uint64
 	mergeErrors    atomic.Uint64
 	mergedOutcomes atomic.Uint64
-
-	// confMu guards conf: the last confidence each shard key's answer
-	// reported, feeding lowConfidence's hedge-eligibility check.
-	confMu sync.Mutex
-	conf   map[string]float64
-}
-
-// DefaultHedgeConfidence is the confidence floor for adaptive-query
-// hedging: when a shard key's last answer was less sure than this that
-// its top pick is actually fastest, the next adaptive query for that
-// key is worth racing on two backends — an uncertain answer arriving
-// late is the worst of both.
-const DefaultHedgeConfidence = 0.5
-
-// maxConfKeys bounds the confidence map. At the cap, known keys keep
-// updating and new keys are dropped — hedging is an optimisation, not
-// a correctness concern, so forgetting the long tail is fine.
-const maxConfKeys = 4096
-
-// observeConfidence remembers the confidence a successful query answer
-// reported for its shard key. Bodies that don't parse or carry no
-// confidence field (old backends) are ignored.
-func (rt *Router) observeConfidence(key string, res attemptResult) {
-	if res.err != nil || res.status != http.StatusOK {
-		return
-	}
-	var rec struct {
-		Confidence *float64 `json:"confidence"`
-	}
-	if json.Unmarshal(res.body, &rec) != nil || rec.Confidence == nil {
-		return
-	}
-	rt.confMu.Lock()
-	if _, known := rt.conf[key]; known || len(rt.conf) < maxConfKeys {
-		rt.conf[key] = *rec.Confidence
-	}
-	rt.confMu.Unlock()
-}
-
-// lowConfidence reports whether the shard key's last observed answer
-// was below the hedge-eligibility floor. Keys never seen report false:
-// with no evidence of uncertainty, hedging is not worth doubled work.
-func (rt *Router) lowConfidence(key string) bool {
-	rt.confMu.Lock()
-	c, known := rt.conf[key]
-	rt.confMu.Unlock()
-	return known && c < DefaultHedgeConfidence
 }
 
 // New validates the config, fills defaults, and builds the router.
@@ -203,28 +141,12 @@ func New(cfg Config) (*Router, error) {
 	if cfg.MergeScale <= 0 || cfg.MergeScale > 1 {
 		cfg.MergeScale = 0.5
 	}
-	if cfg.BreakerWindow <= 0 {
-		cfg.BreakerWindow = 20
-	}
-	if cfg.BreakerMinSamples <= 0 {
-		cfg.BreakerMinSamples = 5
-	}
-	if cfg.BreakerTripRatio <= 0 || cfg.BreakerTripRatio > 1 {
-		cfg.BreakerTripRatio = 0.5
-	}
-	if cfg.BreakerOpenFor <= 0 {
-		cfg.BreakerOpenFor = 2 * time.Second
-	}
 	rt := &Router{
 		cfg:    cfg,
 		ring:   newRing(cfg.Backends, cfg.Replicas),
 		byURL:  make(map[string]*backendState, len(cfg.Backends)),
-		client: cfg.Client,
+		client: &http.Client{},
 		stop:   make(chan struct{}),
-		conf:   make(map[string]float64),
-	}
-	if rt.client == nil {
-		rt.client = &http.Client{}
 	}
 	for _, u := range cfg.Backends {
 		if _, dup := rt.byURL[u]; dup {
@@ -232,7 +154,7 @@ func New(cfg Config) (*Router, error) {
 		}
 		b := &backendState{
 			url: u,
-			br:  newBreaker(cfg.BreakerWindow, cfg.BreakerMinSamples, cfg.BreakerTripRatio, cfg.BreakerOpenFor),
+			br:  newBreaker(breakerWindow, breakerMinSamples, breakerTripRatio, breakerOpenFor),
 		}
 		b.up.Store(true)
 		rt.byURL[u] = b
@@ -281,35 +203,29 @@ type BackendStats struct {
 // Stats is the router's /api/v1/stats body: fleet state plus the routing
 // and gossip counters.
 type Stats struct {
-	Backends  []BackendStats `json:"backends"`
-	Up        int            `json:"up"`
-	Forwards  uint64         `json:"forwards"`
-	Retries   uint64         `json:"retries"`
-	Hedged    uint64         `json:"hedged"`
-	HedgeWins uint64         `json:"hedge_wins"`
-	// LowConfidenceHedges counts adaptive queries that became
-	// hedge-eligible because their shard key's last answer reported low
-	// confidence (a subset of queries, not of Hedged: eligibility arms
-	// the race; Hedged counts races the hedge timer actually fired for).
-	LowConfidenceHedges uint64 `json:"low_confidence_hedges"`
-	DegradedQueries     uint64 `json:"degraded_queries"`
-	MergeRounds         uint64 `json:"merge_rounds"`
-	MergeErrors         uint64 `json:"merge_errors"`
-	MergedOutcomes      uint64 `json:"merged_outcomes"`
+	Backends        []BackendStats `json:"backends"`
+	Up              int            `json:"up"`
+	Forwards        uint64         `json:"forwards"`
+	Retries         uint64         `json:"retries"`
+	Hedged          uint64         `json:"hedged"`
+	HedgeWins       uint64         `json:"hedge_wins"`
+	DegradedQueries uint64         `json:"degraded_queries"`
+	MergeRounds     uint64         `json:"merge_rounds"`
+	MergeErrors     uint64         `json:"merge_errors"`
+	MergedOutcomes  uint64         `json:"merged_outcomes"`
 }
 
 // Stats snapshots the router's counters.
 func (rt *Router) Stats() Stats {
 	s := Stats{
-		Forwards:            rt.forwardsTotal.Load(),
-		Retries:             rt.retriesTotal.Load(),
-		Hedged:              rt.hedged.Load(),
-		HedgeWins:           rt.hedgeWins.Load(),
-		LowConfidenceHedges: rt.lowConfHedges.Load(),
-		DegradedQueries:     rt.degraded.Load(),
-		MergeRounds:         rt.mergeRounds.Load(),
-		MergeErrors:         rt.mergeErrors.Load(),
-		MergedOutcomes:      rt.mergedOutcomes.Load(),
+		Forwards:        rt.forwardsTotal.Load(),
+		Retries:         rt.retriesTotal.Load(),
+		Hedged:          rt.hedged.Load(),
+		HedgeWins:       rt.hedgeWins.Load(),
+		DegradedQueries: rt.degraded.Load(),
+		MergeRounds:     rt.mergeRounds.Load(),
+		MergeErrors:     rt.mergeErrors.Load(),
+		MergedOutcomes:  rt.mergedOutcomes.Load(),
 	}
 	for _, b := range rt.backends {
 		state, opens := b.br.snapshot()
@@ -357,7 +273,13 @@ func (rt *Router) attempt(ctx context.Context, b *backendState, path string, pay
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
 	defer cancel()
 	b.forwards.Add(1)
-	res := rt.roundTrip(ctx, b, path, payload)
+	// The "router.forward" failpoint sits ahead of the exchange so the
+	// chaos suite can inject transport errors without a real network
+	// fault.
+	res := attemptResult{err: faultinject.FireCtx(ctx, "router.forward")}
+	if res.err == nil {
+		res = rt.exchange(ctx, http.MethodPost, b.url+path, payload)
+	}
 	if res.authoritative() {
 		b.br.success()
 	} else {
@@ -365,16 +287,6 @@ func (rt *Router) attempt(ctx context.Context, b *backendState, path string, pay
 		b.br.failure()
 	}
 	return res
-}
-
-// roundTrip is the raw HTTP exchange, with the "router.forward"
-// failpoint ahead of it so the chaos suite can inject transport errors
-// without a real network fault.
-func (rt *Router) roundTrip(ctx context.Context, b *backendState, path string, payload []byte) attemptResult {
-	if err := faultinject.FireCtx(ctx, "router.forward"); err != nil {
-		return attemptResult{err: err}
-	}
-	return rt.exchange(ctx, http.MethodPost, b.url+path, payload)
 }
 
 // exchange is one HTTP exchange with a backend: payload (empty for a

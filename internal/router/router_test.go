@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -214,11 +215,14 @@ func TestRouterBreakerOpensUnderFailureRate(t *testing.T) {
 	})
 	good := newFakeBackend(t, okRecord)
 	rt := testRouter(t, Config{
-		Backends:          []string{bad.srv.URL, good.srv.URL},
-		BackoffBase:       time.Millisecond,
-		BackoffMax:        2 * time.Millisecond,
-		BreakerMinSamples: 3, BreakerWindow: 5, BreakerOpenFor: time.Hour,
+		Backends:    []string{bad.srv.URL, good.srv.URL},
+		BackoffBase: time.Millisecond,
+		BackoffMax:  2 * time.Millisecond,
 	})
+	// A small window that trips fast and stays open for the whole test.
+	for _, b := range rt.backends {
+		b.br = newBreaker(5, 3, breakerTripRatio, time.Hour)
+	}
 	h := rt.Handler()
 	// Spread queries over many shard keys so the failing backend owns
 	// some of them; every hit records a breaker failure. Ring positions
@@ -495,12 +499,10 @@ func TestRouterHealthzReflectsFleet(t *testing.T) {
 	}
 }
 
-// TestRouterLowConfidenceHedging pins adaptive hedging: with HedgeAfter
-// set, a shard key whose answer reported confidence below
-// DefaultHedgeConfidence makes the next adaptive query for that key race
-// a second backend. With hedging off the router records no confidence
-// at all.
-func TestRouterLowConfidenceHedging(t *testing.T) {
+// TestRouterNeverHedgesAdaptive pins that hedging is for oracle
+// queries only: adaptive queries whose answers report low confidence,
+// from backends slower than HedgeAfter, still go to one backend.
+func TestRouterNeverHedgesAdaptive(t *testing.T) {
 	slowUnsure := func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(20 * time.Millisecond)
 		w.Write([]byte(`{"expr":"aatb","strategy":"adaptive","selected":{"index":1},"confidence":0.2}`))
@@ -511,29 +513,40 @@ func TestRouterLowConfidenceHedging(t *testing.T) {
 
 	rt := testRouter(t, Config{Backends: []string{a.srv.URL, b.srv.URL}, HedgeAfter: 2 * time.Millisecond})
 	h := rt.Handler()
-	if resp, body := postQuery(t, h, q); resp.StatusCode != http.StatusOK {
-		t.Fatalf("first query status %d: %s", resp.StatusCode, body)
+	for i := 0; i < 2; i++ {
+		if resp, body := postQuery(t, h, q); resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d status %d: %s", i, resp.StatusCode, body)
+		}
 	}
-	if s := rt.Stats(); s.Hedged != 0 || s.LowConfidenceHedges != 0 {
-		t.Fatalf("first query for an unseen key hedged: %+v", s)
+	if s := rt.Stats(); s.Hedged != 0 {
+		t.Fatalf("adaptive query hedged: %+v", s)
 	}
-	if resp, body := postQuery(t, h, q); resp.StatusCode != http.StatusOK {
-		t.Fatalf("second query status %d: %s", resp.StatusCode, body)
-	}
-	// The primary sleeps 10× HedgeAfter, so the hedge timer always fires.
-	if s := rt.Stats(); s.Hedged != 1 || s.LowConfidenceHedges != 1 {
-		t.Fatalf("low-confidence key did not hedge: %+v", s)
-	}
+}
 
-	off := testRouter(t, Config{Backends: []string{a.srv.URL, b.srv.URL}})
-	if resp, body := postQuery(t, off.Handler(), q); resp.StatusCode != http.StatusOK {
-		t.Fatalf("unhedged query status %d: %s", resp.StatusCode, body)
+// TestRouterProbesReuseConnections: health probes drain the /healthz
+// body, so the transport keeps one connection per backend instead of
+// dialling a new one every probe.
+func TestRouterProbesReuseConnections(t *testing.T) {
+	var conns atomic.Int64
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"ok":true,"ready":true}`))
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
 	}
-	off.confMu.Lock()
-	n := len(off.conf)
-	off.confMu.Unlock()
-	if n != 0 {
-		t.Fatalf("hedging off, yet %d confidences recorded", n)
+	srv.Start()
+	t.Cleanup(srv.Close)
+	rt := testRouter(t, Config{Backends: []string{srv.URL}})
+	for i := 0; i < 20; i++ {
+		rt.probeAll()
+	}
+	if n := conns.Load(); n > 2 {
+		t.Fatalf("20 probes opened %d connections", n)
+	}
+	if b := rt.Stats().Backends[0]; !b.Up || b.ProbeFailures != 0 {
+		t.Fatalf("backend after probes: %+v", b)
 	}
 }
 
